@@ -1,5 +1,7 @@
 #include "cache.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace parallax
@@ -7,8 +9,16 @@ namespace parallax
 
 Cache::Cache(CacheConfig config) : config_(config)
 {
-    if (config_.sizeBytes == 0 || config_.lineBytes == 0)
+    if (config_.sizeBytes == 0 || config_.lineBytes <= 0)
         fatal("cache size and line size must be positive");
+    // The tag word keeps two flag bits under the line index, so the
+    // line index must leave them free: lines of at least 4 bytes.
+    const auto line_bytes = static_cast<unsigned>(config_.lineBytes);
+    if (!std::has_single_bit(line_bytes) || line_bytes < 4)
+        fatal("cache line size %d must be a power of two of at least "
+              "4 bytes",
+              config_.lineBytes);
+    lineShift_ = std::countr_zero(line_bytes);
     const std::uint64_t total_lines =
         config_.sizeBytes / config_.lineBytes;
     if (total_lines == 0)
@@ -20,7 +30,19 @@ Cache::Cache(CacheConfig config) : config_(config)
     numSets_ = static_cast<int>(total_lines / config_.ways);
     if (numSets_ == 0)
         numSets_ = 1;
+    pow2Sets_ = std::has_single_bit(static_cast<unsigned>(numSets_));
+    setMask_ = static_cast<std::uint64_t>(numSets_) - 1;
     lines_.resize(static_cast<std::size_t>(numSets_) * config_.ways);
+}
+
+bool
+Cache::firstTouch(std::uint64_t line)
+{
+    std::uint64_t &word = touched_.at(line >> 6);
+    const std::uint64_t bit = std::uint64_t{1} << (line & 63);
+    const bool first = (word & bit) == 0;
+    word |= bit;
+    return first;
 }
 
 bool
@@ -28,15 +50,15 @@ Cache::access(std::uint64_t addr, bool write, bool kernel)
 {
     ++stats_.accesses;
     const std::uint64_t line = lineIndex(addr);
-    const std::uint64_t set = line % numSets_;
-    Line *base = &lines_[set * config_.ways];
+    const std::uint64_t dirty = write ? dirtyBit : 0;
+    Line *base = &lines_[setBase(line)];
 
     // Lookup.
     for (int w = 0; w < config_.ways; ++w) {
         Line &entry = base[w];
-        if (entry.valid && entry.tag == line) {
+        if (entry.holds(line)) {
             entry.lastUse = ++useCounter_;
-            entry.dirty |= write;
+            entry.word |= dirty;
             ++stats_.hits;
             return true;
         }
@@ -44,7 +66,7 @@ Cache::access(std::uint64_t addr, bool write, bool kernel)
 
     // Miss: classify, then fill into the LRU way.
     ++stats_.misses;
-    if (touched_.insert(line).second)
+    if (firstTouch(line))
         ++stats_.compulsoryMisses;
     if (kernel)
         ++stats_.kernelMisses;
@@ -54,18 +76,16 @@ Cache::access(std::uint64_t addr, bool write, bool kernel)
     Line *victim = &base[0];
     for (int w = 1; w < config_.ways; ++w) {
         Line &entry = base[w];
-        if (!entry.valid) {
+        if ((entry.word & validBit) == 0) {
             victim = &entry;
             break;
         }
         if (entry.lastUse < victim->lastUse)
             victim = &entry;
     }
-    if (victim->valid && victim->dirty)
+    if ((victim->word & (validBit | dirtyBit)) == (validBit | dirtyBit))
         ++stats_.writebacks;
-    victim->valid = true;
-    victim->tag = line;
-    victim->dirty = write;
+    victim->word = line << 2 | dirty | validBit;
     victim->lastUse = ++useCounter_;
     return false;
 }
@@ -74,10 +94,9 @@ bool
 Cache::probe(std::uint64_t addr) const
 {
     const std::uint64_t line = lineIndex(addr);
-    const std::uint64_t set = line % numSets_;
-    const Line *base = &lines_[set * config_.ways];
+    const Line *base = &lines_[setBase(line)];
     for (int w = 0; w < config_.ways; ++w) {
-        if (base[w].valid && base[w].tag == line)
+        if (base[w].holds(line))
             return true;
     }
     return false;
@@ -87,13 +106,12 @@ bool
 Cache::invalidate(std::uint64_t addr)
 {
     const std::uint64_t line = lineIndex(addr);
-    const std::uint64_t set = line % numSets_;
-    Line *base = &lines_[set * config_.ways];
+    Line *base = &lines_[setBase(line)];
     for (int w = 0; w < config_.ways; ++w) {
         Line &entry = base[w];
-        if (entry.valid && entry.tag == line) {
-            entry.valid = false;
-            return entry.dirty;
+        if (entry.holds(line)) {
+            entry.word &= ~validBit;
+            return (entry.word & dirtyBit) != 0;
         }
     }
     return false;
@@ -103,7 +121,7 @@ void
 Cache::flush()
 {
     for (Line &entry : lines_)
-        entry.valid = false;
+        entry.word &= ~validBit;
 }
 
 std::uint64_t
@@ -111,7 +129,7 @@ Cache::residentLines() const
 {
     std::uint64_t count = 0;
     for (const Line &entry : lines_)
-        count += entry.valid ? 1 : 0;
+        count += entry.word & validBit;
     return count;
 }
 

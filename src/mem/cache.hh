@@ -9,14 +9,22 @@
  * of N MB is modelled as one cache of N MB with the banks' aggregate
  * sets. Way counts up to fully-associative support the paper's
  * 1024-way miss-classification experiment.
+ *
+ * Each way is 16 bytes (a `tag << 2 | dirty << 1 | valid` word and an
+ * LRU stamp), so a 4-way set is 64 bytes, one host cache line. The line
+ * index is a shift (line sizes are powers of two) and the set index a
+ * mask when the set count is a power of two, an exact modulo
+ * otherwise (a 9 MB 4-way L2 has 36,864 sets). Compulsory misses are
+ * classified with a paged first-touch bitmap over line indices.
  */
 
 #ifndef PARALLAX_MEM_CACHE_HH
 #define PARALLAX_MEM_CACHE_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
+
+#include "paged_table.hh"
 
 namespace parallax
 {
@@ -26,7 +34,7 @@ struct CacheConfig
 {
     std::uint64_t sizeBytes = 1ull << 20;
     int ways = 4;
-    int lineBytes = 64;
+    int lineBytes = 64; ///< A power of two, at least 4.
 };
 
 /** Hit/miss counters, split user/kernel (Figure 6b). */
@@ -54,7 +62,20 @@ struct CacheStats
     }
 };
 
-/** One set-associative cache with LRU replacement. */
+/**
+ * One set-associative cache with LRU replacement.
+ *
+ * Victim rule, kept exactly as the figures were produced: the scan
+ * starts at way 0 and, from way 1 on, takes the first invalid way,
+ * otherwise the way with the smallest `lastUse`. Way 0 is never
+ * tested for validity, and invalidate()/flush() keep a line's stale
+ * `lastUse`. So after an invalidation a valid line can be evicted
+ * while an invalidated way 0 is still free: the scan compares the
+ * valid ways against way 0's stale stamp and picks an older valid
+ * way (test `CacheTest.VictimQuirkEvictsValidLineOverFreeWay0`).
+ * Coherence invalidations reach the L1s in multi-thread replays, so
+ * fixing this changes figure output (Fig 6b's 8-thread row).
+ */
 class Cache
 {
   public:
@@ -89,22 +110,43 @@ class Cache
     std::uint64_t residentLines() const;
 
   private:
+    static constexpr std::uint64_t validBit = 1;
+    static constexpr std::uint64_t dirtyBit = 2;
+
     struct Line
     {
-        std::uint64_t tag = 0;
+        std::uint64_t word = 0; ///< tag << 2 | dirty << 1 | valid.
         std::uint64_t lastUse = 0;
-        bool valid = false;
-        bool dirty = false;
+
+        /** Valid and tagged `line`, whatever the dirty bit. */
+        bool
+        holds(std::uint64_t line) const
+        { return (word & ~dirtyBit) == (line << 2 | validBit); }
     };
 
     std::uint64_t lineIndex(std::uint64_t addr) const
-    { return addr / static_cast<std::uint64_t>(config_.lineBytes); }
+    { return addr >> lineShift_; }
+
+    /** Index in lines_ of the first way of the set holding `line`. */
+    std::uint64_t
+    setBase(std::uint64_t line) const
+    {
+        const std::uint64_t set =
+            pow2Sets_ ? line & setMask_ : line % numSets_;
+        return set * config_.ways;
+    }
+
+    /** Marks `line` touched; true if it never was before. */
+    bool firstTouch(std::uint64_t line);
 
     CacheConfig config_;
     int numSets_;
-    std::vector<Line> lines_; // numSets_ x ways, row-major.
+    int lineShift_ = 0;
+    bool pow2Sets_ = false;
+    std::uint64_t setMask_ = 0; ///< numSets_ - 1 when pow2Sets_.
+    std::vector<Line> lines_;   ///< numSets_ x ways, row-major.
     std::uint64_t useCounter_ = 0;
-    std::unordered_set<std::uint64_t> touched_; // For compulsory.
+    PagedTable<std::uint64_t> touched_; ///< Bit per line, for compulsory.
     CacheStats stats_;
 };
 

@@ -75,24 +75,21 @@ MemoryHierarchy::access(unsigned thread, Phase phase,
     PhaseMemStats &stats = phaseStats_[static_cast<int>(phase)];
     ++stats.refs;
 
-    const std::uint64_t line = ref.addr / 64;
+    const std::uint64_t line = ref.addr >> 6;
 
     // Coherence: a write invalidates every other L1's copy (MOESI
     // M-state acquisition through the directory).
     if (ref.write && config_.threads > 1) {
-        auto it = directory_.find(line);
-        if (it != directory_.end()) {
-            const std::uint32_t others =
-                it->second.sharers & ~(1u << thread);
-            if (others != 0) {
-                for (unsigned t = 0; t < config_.threads; ++t) {
-                    if ((others >> t) & 1u) {
-                        l1s_[t]->invalidate(ref.addr);
-                        ++stats.invalidations;
-                    }
+        const std::uint32_t others =
+            directory_.get(line) & ~(1u << thread);
+        if (others != 0) {
+            for (unsigned t = 0; t < config_.threads; ++t) {
+                if ((others >> t) & 1u) {
+                    l1s_[t]->invalidate(ref.addr);
+                    ++stats.invalidations;
                 }
-                it->second.sharers = 1u << thread;
             }
+            directory_.at(line) = 1u << thread;
         }
     }
 
@@ -104,7 +101,7 @@ MemoryHierarchy::access(unsigned thread, Phase phase,
         return latency;
     }
     if (config_.threads > 1)
-        directory_[line].sharers |= 1u << thread;
+        directory_.at(line) |= 1u << thread;
 
     // L2 partition lookup.
     Cache &l2 = *l2Partitions_[config_.plan.partitionOf[

@@ -9,7 +9,10 @@
  * one for the parallel phases — section 6.1), or fully dedicated per
  * phase (the cache-state save/restore experiment of Figures 3-5a).
  * A directory keeps the L1s coherent with MOESI-style ownership:
- * writes invalidate remote copies.
+ * writes invalidate remote copies. It is a paged line -> sharer-mask
+ * table in which 0 means "no entry": an entry is created with the
+ * reading thread's bit and a write resets it to the writer's bit, so
+ * a listed line never has an empty mask.
  */
 
 #ifndef PARALLAX_MEM_HIERARCHY_HH
@@ -17,10 +20,10 @@
 
 #include <array>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache.hh"
+#include "paged_table.hh"
 #include "sim/ticks.hh"
 #include "workload/mem_trace.hh"
 #include "workload/phase.hh"
@@ -118,15 +121,10 @@ class MemoryHierarchy
     { return l2Partitions_.size(); }
 
   private:
-    struct DirectoryEntry
-    {
-        std::uint32_t sharers = 0; // Bit per thread L1.
-    };
-
     HierarchyConfig config_;
     std::vector<std::unique_ptr<Cache>> l1s_;
     std::vector<std::unique_ptr<Cache>> l2Partitions_;
-    std::unordered_map<std::uint64_t, DirectoryEntry> directory_;
+    PagedTable<std::uint32_t> directory_; ///< Line -> bit per thread L1.
     std::array<PhaseMemStats, numPhases> phaseStats_{};
 };
 

@@ -190,6 +190,14 @@ class ArenaVector
         data_[size_++] = value;
     }
 
+    /** Ensure room for `cap` elements without a further grow. */
+    void
+    reserve(std::size_t cap)
+    {
+        if (cap > capacity_)
+            grow(cap);
+    }
+
     T *begin() { return data_; }
     T *end() { return data_ + size_; }
     const T *begin() const { return data_; }

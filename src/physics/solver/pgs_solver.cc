@@ -1,6 +1,7 @@
 #include "pgs_solver.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "sim/logging.hh"
@@ -23,6 +24,41 @@ PgsSolver::Workspace::capacitySum() const
     return linVel.capacity() + invInertia.capacity() +
            rows.rhs.capacity() + invDiag.capacity() +
            slices.capacity();
+}
+
+namespace
+{
+
+/** Reserve a power-of-two capacity once `v` cannot hold `n`. */
+template <typename V>
+void
+reserveFor(V &v, std::size_t n)
+{
+    if (v.capacity() < n)
+        v.reserve(std::bit_ceil(n));
+}
+
+} // namespace
+
+void
+PgsSolver::reserve(const Shape &shape)
+{
+    const std::size_t capacity_before = ws_.capacitySum();
+    reserveFor(ws_.linVel, shape.bodies + 1);
+    reserveFor(ws_.angVel, shape.bodies + 1);
+    reserveFor(ws_.invMass, shape.bodies);
+    reserveFor(ws_.invInertia, shape.bodies);
+    // RowBuffer fields grow in lockstep; rhs stands for all of them.
+    if (ws_.rows.rhs.capacity() < shape.rows)
+        ws_.rows.reserve(std::bit_ceil(shape.rows));
+    for (auto *v : {&ws_.mLinA, &ws_.mAngA, &ws_.mLinB, &ws_.mAngB})
+        reserveFor(*v, shape.rows);
+    reserveFor(ws_.invDiag, shape.rows);
+    reserveFor(ws_.bodyA, shape.rows);
+    reserveFor(ws_.bodyB, shape.rows);
+    reserveFor(ws_.slices, shape.joints);
+    if (ws_.capacitySum() > capacity_before)
+        ++stats_.workspaceGrowths;
 }
 
 void

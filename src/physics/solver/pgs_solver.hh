@@ -33,7 +33,8 @@ struct SolverStats
     std::uint64_t rowsBuilt = 0;
     std::uint64_t rowIterations = 0;
     std::uint64_t bodiesIntegrated = 0;
-    /** Solves that had to grow a persistent workspace buffer. */
+    /** Solves or reserve() calls that had to grow a persistent
+     *  workspace buffer. */
     std::uint64_t workspaceGrowths = 0;
     /** Solves fully served by already-reserved workspace capacity. */
     std::uint64_t workspaceReuses = 0;
@@ -80,6 +81,22 @@ class PgsSolver
      * the caller's responsibility.
      */
     void solve(Island &island, const SolverParams &params);
+
+    /** Island dimensions a workspace is provisioned for. */
+    struct Shape
+    {
+        std::size_t bodies = 0;
+        std::size_t joints = 0;
+        /** Upper bound on rows (Island::rowCount()). */
+        std::size_t rows = 0;
+    };
+
+    /**
+     * Grow the workspace (to power-of-two capacities) so that solving
+     * any island within `shape` allocates nothing. Growth made here
+     * counts as a workspace growth, just like growth inside solve().
+     */
+    void reserve(const Shape &shape);
 
     int iterations() const { return iterations_; }
 

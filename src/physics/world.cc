@@ -1,6 +1,7 @@
 #include "world.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -1401,6 +1402,8 @@ World::phaseNarrowphase()
                                   geoms_[pair.b].get());
         narrowphase_.batchRun(lastContacts_);
         stepStats_.contactsCreated = lastContacts_.size();
+        contactHighWater_ =
+            std::max(contactHighWater_, lastContacts_.size());
         return;
     }
 
@@ -1452,11 +1455,19 @@ World::phaseNarrowphase()
         // Per-lane buffers merged in lane order: fewer allocations,
         // but the chunk-to-lane assignment (and thus contact order)
         // depends on stealing.
+        // A lane holds at most the whole step's contacts, so each
+        // buffer is reserved (serially, before dispatch) for the
+        // largest step total seen so far: how the chunks happen to be
+        // stolen cannot make a warm lane grow its buffer.
+        const std::size_t provision =
+            contactHighWater_ == 0 ? 0
+                                   : std::bit_ceil(contactHighWater_);
         laneContactBufs_.clear();
         laneContactBufs_.resize(scheduler_.laneCount());
         for (unsigned l = 0; l < scheduler_.laneCount(); ++l) {
             laneContactBufs_[l].contacts =
                 ArenaVector<Contact>(&scheduler_.arena(l));
+            laneContactBufs_[l].contacts.reserve(provision);
         }
         scheduler_.parallelFor(
             pairs, config_.grainSize, npCost_,
@@ -1473,6 +1484,7 @@ World::phaseNarrowphase()
     for (const Narrowphase &local : npLocals_)
         narrowphase_.mergeStats(local.stats());
     stepStats_.contactsCreated = lastContacts_.size();
+    contactHighWater_ = std::max(contactHighWater_, lastContacts_.size());
 }
 
 void
@@ -1708,21 +1720,35 @@ World::phaseIslandProcessing()
                      cost_rows);
         islandBatchOffsets_.clear();
         std::size_t batch_rows = target_rows; // open a batch at i=0
+        PgsSolver::Shape largest;
         for (std::size_t i = 0; i < solveIslands_.size(); ++i) {
             if (batch_rows >= target_rows) {
                 islandBatchOffsets_.push_back(
                     static_cast<std::uint32_t>(i));
                 batch_rows = 0;
             }
-            batch_rows += static_cast<std::size_t>(
-                std::max(1, solveIslands_[i]->rowCount()));
+            const Island &island = *solveIslands_[i];
+            const int rows = island.rowCount();
+            batch_rows +=
+                static_cast<std::size_t>(std::max(1, rows));
+            largest.bodies =
+                std::max(largest.bodies, island.bodies.size());
+            largest.joints =
+                std::max(largest.joints, island.joints.size());
+            largest.rows = std::max(largest.rows,
+                                    static_cast<std::size_t>(rows));
         }
         islandBatchOffsets_.push_back(
             static_cast<std::uint32_t>(solveIslands_.size()));
 
+        // Any lane may steal the largest island, so every lane's
+        // workspace is provisioned for it up front: whether a warm
+        // step allocates then depends on the scene, never on which
+        // lane ran what.
         for (PgsSolver &s : laneSolvers_) {
             s.setIterations(plan_.solverIterations);
             s.resetStats();
+            s.reserve(largest);
         }
         scheduler_.parallelFor(
             islandBatchOffsets_.size() - 1, 1,

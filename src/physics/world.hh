@@ -705,7 +705,8 @@ class World
     std::size_t bpPrefetchGeoms_ = 0;
     std::vector<std::uint8_t> bpPrefetchEnabled_;
     /** One solver per lane for parallel island processing; each owns
-     *  a persistent workspace that stops allocating once warm. */
+     *  a persistent workspace, provisioned before every parallel
+     *  solve for the step's largest island (any lane may steal it). */
     std::vector<PgsSolver> laneSolvers_;
     /** Per-lane narrowphase instances (race-free stats counters). */
     std::vector<Narrowphase> npLocals_;
@@ -722,6 +723,10 @@ class World
     std::vector<ChunkContacts> detChunkBufs_;
     /** Non-deterministic-mode per-lane contact buffers. */
     std::vector<ChunkContacts> laneContactBufs_;
+    /** Largest per-step contact count so far. Every lane's buffer is
+     *  provisioned for it, since stealing can hand one lane all of a
+     *  step's pairs. */
+    std::size_t contactHighWater_ = 0;
     /** Cloth collider lists and per-cloth stats buffers. */
     std::vector<std::vector<const Geom *>> clothColliders_;
     std::vector<ClothStats> clothLocalStats_;

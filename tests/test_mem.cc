@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <unordered_set>
+#include <vector>
+
 #include "mem/hierarchy.hh"
+#include "sim/rng.hh"
 #include "workload/benchmarks.hh"
 
 namespace parallax
@@ -50,11 +56,250 @@ TEST(CacheTest, CompulsoryMissClassification)
     for (int i = 0; i < 64; ++i)
         cache.access(i * 256, false);
     cache.access(0, false); // Non-compulsory miss (seen before).
+    // 4 sets: every i * 256 maps to set 0. Lines 0 and 1 miss cold,
+    // i = 0 hits line 0, i = 1..63 miss cold (evicting line 0), and
+    // the final touch of line 0 is the one non-compulsory miss.
     const CacheStats &stats = cache.stats();
-    EXPECT_EQ(stats.compulsoryMisses + 0,
-              stats.compulsoryMisses);
-    EXPECT_LT(stats.compulsoryMisses, stats.misses);
+    EXPECT_EQ(stats.accesses, 67u);
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.misses, 66u);
+    EXPECT_EQ(stats.compulsoryMisses, 65u);
 }
+
+TEST(CacheTest, VictimQuirkEvictsValidLineOverFreeWay0)
+{
+    // One set of 4 ways. A cold set fills ways 1, 2, 3 and then 0
+    // (the scan takes the first invalid way from way 1 on, and way 0
+    // is the default victim), so lines a..d get LRU stamps 1..4 in
+    // ways 1, 2, 3, 0.
+    Cache cache(CacheConfig{256, 4, 64});
+    const std::uint64_t a = 0, b = 64, c = 128, d = 192, e = 256;
+    for (std::uint64_t addr : {a, b, c, d})
+        cache.access(addr, false);
+    // Invalidating d frees way 0 but leaves its stamp 4 behind. The
+    // next miss compares the valid ways against that stale stamp and
+    // evicts a (stamp 1) although way 0 is free.
+    EXPECT_FALSE(cache.invalidate(d));
+    EXPECT_FALSE(cache.access(e, false));
+    EXPECT_FALSE(cache.probe(a));
+    EXPECT_TRUE(cache.probe(b));
+    EXPECT_TRUE(cache.probe(c));
+    EXPECT_TRUE(cache.probe(e));
+    EXPECT_EQ(cache.residentLines(), 3u);
+}
+
+/**
+ * The cache model as the figures were first produced with it: one
+ * struct per way and a hash set of touched lines. Cache must match
+ * it in every return value and every counter.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(CacheConfig config) : config_(config)
+    {
+        const std::uint64_t total_lines =
+            config_.sizeBytes / config_.lineBytes;
+        if (static_cast<std::uint64_t>(config_.ways) > total_lines)
+            config_.ways = static_cast<int>(total_lines);
+        numSets_ = static_cast<int>(total_lines / config_.ways);
+        if (numSets_ == 0)
+            numSets_ = 1;
+        lines_.resize(static_cast<std::size_t>(numSets_) *
+                      config_.ways);
+    }
+
+    bool
+    access(std::uint64_t addr, bool write, bool kernel)
+    {
+        ++stats_.accesses;
+        const std::uint64_t line = addr / config_.lineBytes;
+        Line *base = &lines_[(line % numSets_) * config_.ways];
+        for (int w = 0; w < config_.ways; ++w) {
+            Line &entry = base[w];
+            if (entry.valid && entry.tag == line) {
+                entry.lastUse = ++useCounter_;
+                entry.dirty |= write;
+                ++stats_.hits;
+                return true;
+            }
+        }
+        ++stats_.misses;
+        if (touched_.insert(line).second)
+            ++stats_.compulsoryMisses;
+        if (kernel)
+            ++stats_.kernelMisses;
+        else
+            ++stats_.userMisses;
+        Line *victim = &base[0];
+        for (int w = 1; w < config_.ways; ++w) {
+            Line &entry = base[w];
+            if (!entry.valid) {
+                victim = &entry;
+                break;
+            }
+            if (entry.lastUse < victim->lastUse)
+                victim = &entry;
+        }
+        if (victim->valid && victim->dirty)
+            ++stats_.writebacks;
+        victim->valid = true;
+        victim->tag = line;
+        victim->dirty = write;
+        victim->lastUse = ++useCounter_;
+        return false;
+    }
+
+    bool
+    probe(std::uint64_t addr) const
+    {
+        const std::uint64_t line = addr / config_.lineBytes;
+        const Line *base = &lines_[(line % numSets_) * config_.ways];
+        for (int w = 0; w < config_.ways; ++w) {
+            if (base[w].valid && base[w].tag == line)
+                return true;
+        }
+        return false;
+    }
+
+    bool
+    invalidate(std::uint64_t addr)
+    {
+        const std::uint64_t line = addr / config_.lineBytes;
+        Line *base = &lines_[(line % numSets_) * config_.ways];
+        for (int w = 0; w < config_.ways; ++w) {
+            Line &entry = base[w];
+            if (entry.valid && entry.tag == line) {
+                entry.valid = false;
+                return entry.dirty;
+            }
+        }
+        return false;
+    }
+
+    void
+    flush()
+    {
+        for (Line &entry : lines_)
+            entry.valid = false;
+    }
+
+    std::uint64_t
+    residentLines() const
+    {
+        std::uint64_t count = 0;
+        for (const Line &entry : lines_)
+            count += entry.valid ? 1 : 0;
+        return count;
+    }
+
+    const CacheStats &stats() const { return stats_; }
+
+  private:
+    struct Line
+    {
+        std::uint64_t tag = 0;
+        std::uint64_t lastUse = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    CacheConfig config_;
+    int numSets_;
+    std::vector<Line> lines_;
+    std::uint64_t useCounter_ = 0;
+    std::unordered_set<std::uint64_t> touched_;
+    CacheStats stats_;
+};
+
+void
+expectSameStats(const CacheStats &got, const CacheStats &want,
+                std::uint64_t op)
+{
+    EXPECT_EQ(got.accesses, want.accesses) << "op " << op;
+    EXPECT_EQ(got.hits, want.hits) << "op " << op;
+    EXPECT_EQ(got.misses, want.misses) << "op " << op;
+    EXPECT_EQ(got.compulsoryMisses, want.compulsoryMisses)
+        << "op " << op;
+    EXPECT_EQ(got.kernelMisses, want.kernelMisses) << "op " << op;
+    EXPECT_EQ(got.userMisses, want.userMisses) << "op " << op;
+    EXPECT_EQ(got.writebacks, want.writebacks) << "op " << op;
+}
+
+struct DiffGeometry
+{
+    const char *name;
+    CacheConfig config;
+};
+
+class CacheDifferential
+    : public ::testing::TestWithParam<std::tuple<DiffGeometry, int>>
+{
+};
+
+TEST_P(CacheDifferential, MatchesReferenceModel)
+{
+    const auto &[geometry, seed] = GetParam();
+    Cache cache(geometry.config);
+    ReferenceCache reference(geometry.config);
+    Rng rng(seed);
+
+    // Three address regions (low, mid, the kernel region of the
+    // synthetic layout), each spanning 1.5x the cache's lines, so
+    // streams hit, conflict and evict; byte offsets within lines.
+    const std::uint64_t lines =
+        geometry.config.sizeBytes / geometry.config.lineBytes;
+    const std::uint64_t span = lines + lines / 2;
+    const std::uint64_t regions[] = {0, 0x1000'0000, 0xc000'0000};
+    const std::uint64_t ops = std::max<std::uint64_t>(40000, 4 * span);
+    for (std::uint64_t op = 0; op < ops; ++op) {
+        const std::uint64_t addr = regions[rng.below(3)] +
+            rng.below(span) * geometry.config.lineBytes +
+            rng.below(geometry.config.lineBytes);
+        if (rng.below(2 * span) == 0) {
+            // Rare enough that the cache fills between flushes.
+            cache.flush();
+            reference.flush();
+        } else if (rng.chance(0.09)) {
+            ASSERT_EQ(cache.invalidate(addr), reference.invalidate(addr))
+                << "op " << op;
+        } else {
+            const bool write = rng.chance(0.3);
+            const bool kernel = rng.chance(0.1);
+            ASSERT_EQ(cache.access(addr, write, kernel),
+                      reference.access(addr, write, kernel))
+                << "op " << op;
+        }
+        if (op % 4096 == 0)
+            expectSameStats(cache.stats(), reference.stats(), op);
+    }
+    expectSameStats(cache.stats(), reference.stats(), ops);
+    EXPECT_EQ(cache.residentLines(), reference.residentLines());
+    for (std::uint64_t i = 0; i < 2000; ++i) {
+        const std::uint64_t addr = regions[rng.below(3)] +
+            rng.below(span) * geometry.config.lineBytes;
+        EXPECT_EQ(cache.probe(addr), reference.probe(addr));
+    }
+    // The streams must exercise every path being compared.
+    EXPECT_GT(cache.stats().hits, 0u);
+    EXPECT_GT(cache.stats().writebacks, 0u);
+    EXPECT_LT(cache.stats().compulsoryMisses, cache.stats().misses);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheDifferential,
+    ::testing::Combine(
+        ::testing::Values(
+            DiffGeometry{"L1_32KB_4way", {32 << 10, 4, 64}},
+            DiffGeometry{"L2_1MB_4way", {1 << 20, 4, 64}},
+            DiffGeometry{"L2_9MB_4way_non_pow2_sets", {9 << 20, 4, 64}},
+            DiffGeometry{"DirectMapped_32KB", {32 << 10, 1, 64}},
+            DiffGeometry{"FullyAssoc_1024way", {64 << 10, 1024, 64}}),
+        ::testing::Values(1, 2)),
+    [](const auto &info) {
+        return std::string(std::get<0>(info.param).name) + "_seed" +
+               std::to_string(std::get<1>(info.param));
+    });
 
 TEST(CacheTest, FullyAssociativeHasNoConflicts)
 {
@@ -96,6 +341,18 @@ TEST(CacheTest, InvalidConfigRejected)
                 ::testing::ExitedWithCode(1), "positive");
     EXPECT_EXIT(Cache(CacheConfig{1024, 0, 64}),
                 ::testing::ExitedWithCode(1), "way");
+    EXPECT_EXIT(Cache(CacheConfig{1024, 4, 48}),
+                ::testing::ExitedWithCode(1), "power of two");
+}
+
+TEST(CacheTest, AddressBeyondModelledSpaceRejected)
+{
+    // The first-touch table bounds its keys instead of sizing its
+    // page directory for any 64-bit address.
+    Cache cache(CacheConfig{1024, 4, 64});
+    EXPECT_FALSE(cache.access(0xc000'0000, false));
+    EXPECT_EXIT(cache.access(~0ull, false),
+                ::testing::ExitedWithCode(1), "address space");
 }
 
 TEST(L2PlanTest, SharedMapsAllPhasesToOnePartition)
@@ -246,6 +503,57 @@ TEST(HierarchyTest, BiggerL2ReducesMisses)
     };
     EXPECT_GE(misses(1), misses(4));
     EXPECT_GE(misses(4), misses(16));
+}
+
+TEST(HierarchyTest, FourThreadMixGolden)
+{
+    // Pinned per-phase counters of a 4-thread replay of a small Mix
+    // step through a shared 1 MB L2, captured from the original
+    // hash-container model: the flat line tables must reproduce
+    // them exactly, coherence invalidations included.
+    auto world = buildBenchmark(BenchmarkId::Mix, WorldConfig(), 0.3);
+    for (int i = 0; i < 3; ++i)
+        world->step();
+    TraceOptions options;
+    options.threads = 4;
+    options.kernelBytesPerThread = kernelFootprintForThreads(4);
+    const StepTrace trace = TraceGenerator(options).generate(*world);
+
+    HierarchyConfig config;
+    config.threads = 4;
+    config.plan = L2Plan::shared(1);
+    MemoryHierarchy mem(config);
+    mem.replayStep(trace);
+    mem.replayStep(trace);
+
+    struct Golden
+    {
+        std::uint64_t refs, l1Hits, l2Hits, l2Misses, kernelL2Misses,
+            userL2Misses, invalidations, cycles;
+    };
+    const Golden golden[numPhases] = {
+        {19646, 9562, 4910, 5174, 0, 5174, 1255, 1949712},
+        {34094, 21630, 7984, 4480, 0, 4480, 296, 1778348},
+        {38126, 17664, 3458, 17004, 0, 17004, 0, 6164542},
+        {287832, 187546, 30520, 69766, 52870, 16896, 8763, 25800394},
+        {87316, 31016, 9050, 47250, 45654, 1596, 8600, 17084132},
+    };
+    for (int p = 0; p < numPhases; ++p) {
+        const PhaseMemStats &got =
+            mem.phaseStats(static_cast<Phase>(p));
+        const Golden &want = golden[p];
+        EXPECT_EQ(got.refs, want.refs) << "phase " << p;
+        EXPECT_EQ(got.l1Hits, want.l1Hits) << "phase " << p;
+        EXPECT_EQ(got.l2Hits, want.l2Hits) << "phase " << p;
+        EXPECT_EQ(got.l2Misses, want.l2Misses) << "phase " << p;
+        EXPECT_EQ(got.kernelL2Misses, want.kernelL2Misses)
+            << "phase " << p;
+        EXPECT_EQ(got.userL2Misses, want.userL2Misses)
+            << "phase " << p;
+        EXPECT_EQ(got.invalidations, want.invalidations)
+            << "phase " << p;
+        EXPECT_EQ(got.cycles, want.cycles) << "phase " << p;
+    }
 }
 
 TEST(HierarchyTest, InvalidThreadsRejected)

@@ -31,9 +31,11 @@ TEST(PerfAlloc, SteadyStateStepsDoNotAllocate)
 
     // Warm-up: let contacts, islands, arenas and workspaces reach
     // their steady-state sizes. Mix keeps developing activity
-    // (explosions, breakables) well past the first frames, and with
-    // work stealing each lane's solver must see the largest island
-    // at least once, so the window is generous.
+    // (explosions, breakables) well past the first frames, so the
+    // window is generous. Lane workspaces and contact buffers are
+    // provisioned for the whole step, so the result must not depend
+    // on how stealing spreads the work (a loaded host can leave one
+    // lane running nearly everything).
     for (int i = 0; i < 100; ++i)
         world->step();
 
