@@ -264,13 +264,13 @@ emitObservability(const World &world, const std::string &runTag)
     if (!tracePath.empty() && world.trace().enabled()) {
         const std::string path =
             decorateTracePath(tracePath, runTag);
-        const std::string err = world.writeTrace(path);
-        if (err.empty()) {
+        const Status st = world.writeTrace(path);
+        if (st.ok()) {
             std::fprintf(stderr, "trace written to %s\n",
                          path.c_str());
         } else {
             std::fprintf(stderr, "trace write failed: %s\n",
-                         err.c_str());
+                         st.toString().c_str());
         }
     }
     if (metricsJson)

@@ -5,29 +5,40 @@
 namespace parallax
 {
 
-MetricsRegistry::Entry &
-MetricsRegistry::entry(const std::string &name, Kind kind)
+MetricsRegistry::Slot
+MetricsRegistry::slot(const std::string &name, Kind kind)
 {
     auto it = index_.find(name);
     if (it != index_.end())
-        return entries_[it->second];
+        return it->second;
     index_.emplace(name, entries_.size());
     entries_.push_back(Entry{name, kind, 0.0});
-    return entries_.back();
+    return entries_.size() - 1;
+}
+
+void
+MetricsRegistry::add(Slot slot, double delta)
+{
+    if (delta > 0.0)
+        entries_[slot].value += delta;
+}
+
+void
+MetricsRegistry::set(Slot slot, double value)
+{
+    entries_[slot].value = value;
 }
 
 void
 MetricsRegistry::add(const std::string &name, double delta)
 {
-    Entry &e = entry(name, Kind::Counter);
-    if (delta > 0.0)
-        e.value += delta;
+    add(slot(name, Kind::Counter), delta);
 }
 
 void
 MetricsRegistry::set(const std::string &name, double value)
 {
-    entry(name, Kind::Gauge).value = value;
+    set(slot(name, Kind::Gauge), value);
 }
 
 double

@@ -12,6 +12,10 @@
  * registration order — stable key order, so diffs and log scrapers
  * can rely on it.
  *
+ * Hot paths resolve a name once with slot() and update by index
+ * afterwards: no key string, no hash lookup per call. The string
+ * API stays for rare events; both views address the same entries.
+ *
  * The registry is updated from the main thread between phase
  * barriers; it is not itself thread-safe and does not need to be.
  */
@@ -44,6 +48,14 @@ class MetricsRegistry
         double value = 0.0;
     };
 
+    /** Index of a registered metric; valid until clear(). */
+    using Slot = std::size_t;
+
+    /** Slot of `name`, registering it as `kind` on first use (the
+     *  same registration add/set would do). The same name always
+     *  yields the same slot. */
+    Slot slot(const std::string &name, Kind kind);
+
     /** Add `delta` (>= 0) to the counter `name`, registering it on
      *  first use. Negative deltas are ignored — counters are
      *  monotonic by contract. */
@@ -56,6 +68,11 @@ class MetricsRegistry
     /** Current value of `name` (0 if never registered). */
     double value(const std::string &name) const;
 
+    /** add(), set() and value() by slot. */
+    void add(Slot slot, double delta);
+    void set(Slot slot, double value);
+    double value(Slot slot) const { return entries_[slot].value; }
+
     /** All metrics in registration order. */
     const std::vector<Entry> &entries() const { return entries_; }
 
@@ -66,8 +83,6 @@ class MetricsRegistry
     void clear();
 
   private:
-    Entry &entry(const std::string &name, Kind kind);
-
     std::vector<Entry> entries_;
     std::unordered_map<std::string, std::size_t> index_;
 };

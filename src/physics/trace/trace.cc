@@ -189,19 +189,19 @@ TraceCollector::toChromeJson() const
     return out;
 }
 
-std::string
+Status
 TraceCollector::writeChromeJson(const std::string &path) const
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr)
-        return "cannot open '" + path + "' for writing";
+        return ioError("cannot open '" + path + "' for writing");
     const std::string text = toChromeJson();
     const std::size_t written =
         std::fwrite(text.data(), 1, text.size(), f);
     std::fclose(f);
     if (written != text.size())
-        return "short write to '" + path + "'";
-    return "";
+        return ioError("short write to '" + path + "'");
+    return okStatus();
 }
 
 std::string

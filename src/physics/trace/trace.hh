@@ -36,6 +36,8 @@
 #include <string>
 #include <vector>
 
+#include "parallax/status.hh"
+
 namespace parallax
 {
 
@@ -117,9 +119,9 @@ class TraceCollector
     /** Serialize everything as Chrome trace-event JSON. */
     std::string toChromeJson() const;
 
-    /** Write toChromeJson() to `path`; "" on success or a readable
-     *  error. */
-    std::string writeChromeJson(const std::string &path) const;
+    /** Write toChromeJson() to `path`; IO_ERROR when the file
+     *  cannot be opened or fully written. */
+    Status writeChromeJson(const std::string &path) const;
 
   private:
     struct LaneBuffer

@@ -49,8 +49,6 @@ StepStats::reset()
     contactsCreated = 0;
     contactJointsCreated = 0;
     jointsBroken = 0;
-    islandsToWorkQueue = 0;
-    islandsOnMainThread = 0;
     clothColliderInsertions = 0;
     islandsAsleep = 0;
     bodiesAsleep = 0;
@@ -737,85 +735,88 @@ World::recordStepTraceCounters()
 void
 World::updateMetrics()
 {
+    // Every step runs this, so keys are registered once, on the
+    // first call, and later steps update by slot (no key strings, no
+    // hash lookups). This function is the registry's only writer and
+    // every call below runs every step, in this order, so the i-th
+    // call's key holds slot i.
+    const bool first = metrics_.entries().empty();
+    MetricsRegistry::Slot call = 0;
+    auto slot = [this, first, &call](const char *name,
+                                     MetricsRegistry::Kind kind) {
+        if (first)
+            parallax_assert(metrics_.slot(name, kind) == call);
+        return call++;
+    };
+    auto add = [this, &slot](const char *name, double delta) {
+        metrics_.add(slot(name, MetricsRegistry::Kind::Counter), delta);
+    };
+    auto set = [this, &slot](const char *name, double value) {
+        metrics_.set(slot(name, MetricsRegistry::Kind::Gauge), value);
+    };
+    // Counters fed from a run total: add what is new since the last
+    // step.
+    auto addTotal = [this, &slot](const char *name, double total) {
+        const MetricsRegistry::Slot k =
+            slot(name, MetricsRegistry::Kind::Counter);
+        metrics_.add(k, total - metrics_.value(k));
+    };
     const StepStats &s = stepStats_;
     // Monotonic counters: run totals.
-    metrics_.add("steps", 1.0);
-    metrics_.add("pairs_found",
-                 static_cast<double>(s.pairsFound));
-    metrics_.add("contacts_created",
-                 static_cast<double>(s.contactsCreated));
-    metrics_.add("contact_joints",
-                 static_cast<double>(s.contactJointsCreated));
-    metrics_.add("joints_broken",
-                 static_cast<double>(s.jointsBroken));
-    metrics_.add("tasks_executed",
-                 static_cast<double>(s.parTasksExecuted));
-    metrics_.add("tasks_stolen",
-                 static_cast<double>(s.parTasksStolen));
-    metrics_.add("governor_degradations",
-                 static_cast<double>(s.governor.degradations) -
-                     metrics_.value("governor_degradations"));
-    metrics_.add("governor_recoveries",
-                 static_cast<double>(s.governor.recoveries) -
-                     metrics_.value("governor_recoveries"));
-    metrics_.add("deadline_misses",
-                 static_cast<double>(s.governor.deadlineMisses) -
-                     metrics_.value("deadline_misses"));
-    metrics_.add("pairs_deferred",
-                 static_cast<double>(s.governor.pairsDeferred) -
-                     metrics_.value("pairs_deferred"));
-    metrics_.add("faults_injected",
-                 static_cast<double>(s.faultsInjected));
-    metrics_.add("invariant_violations",
-                 static_cast<double>(invariantViolations_) -
-                     metrics_.value("invariant_violations"));
-    metrics_.add("quarantine_events",
-                 static_cast<double>(quarantineEvents_) -
-                     metrics_.value("quarantine_events"));
-    metrics_.add("trace_events_dropped",
-                 static_cast<double>(trace_.droppedEvents()) -
-                     metrics_.value("trace_events_dropped"));
+    add("steps", 1.0);
+    add("pairs_found", static_cast<double>(s.pairsFound));
+    add("contacts_created", static_cast<double>(s.contactsCreated));
+    add("contact_joints", static_cast<double>(s.contactJointsCreated));
+    add("joints_broken", static_cast<double>(s.jointsBroken));
+    add("tasks_executed", static_cast<double>(s.parTasksExecuted));
+    add("tasks_stolen", static_cast<double>(s.parTasksStolen));
+    addTotal("governor_degradations",
+             static_cast<double>(s.governor.degradations));
+    addTotal("governor_recoveries",
+             static_cast<double>(s.governor.recoveries));
+    addTotal("deadline_misses",
+             static_cast<double>(s.governor.deadlineMisses));
+    addTotal("pairs_deferred",
+             static_cast<double>(s.governor.pairsDeferred));
+    add("faults_injected", static_cast<double>(s.faultsInjected));
+    addTotal("invariant_violations",
+             static_cast<double>(invariantViolations_));
+    addTotal("quarantine_events",
+             static_cast<double>(quarantineEvents_));
+    addTotal("trace_events_dropped",
+             static_cast<double>(trace_.droppedEvents()));
     // Allocation-free hot path: arena block allocations this step
     // (zero once warm) and solver workspace reuse events.
-    metrics_.add("arena.growths",
-                 static_cast<double>(s.arenaGrowths));
-    metrics_.add("solver.reuse",
-                 static_cast<double>(s.solver.workspaceReuses));
+    add("arena.growths", static_cast<double>(s.arenaGrowths));
+    add("solver.reuse", static_cast<double>(s.solver.workspaceReuses));
     // Vector-engine counters, summed across the solver, cloth and
     // narrowphase kernels (all zero under the Scalar backend).
     // Registry-only: metricsLine() keys are a frozen format.
-    metrics_.add("kernel.rows_vectorized",
-                 static_cast<double>(s.solver.kernels.rowsVectorized +
-                                     s.cloth.kernels.rowsVectorized +
-                                     s.narrowphase.kernels
-                                         .rowsVectorized));
-    metrics_.add("kernel.remainder_rows",
-                 static_cast<double>(s.solver.kernels.remainderRows +
-                                     s.cloth.kernels.remainderRows +
-                                     s.narrowphase.kernels
-                                         .remainderRows));
+    add("kernel.rows_vectorized",
+        static_cast<double>(s.solver.kernels.rowsVectorized +
+                            s.cloth.kernels.rowsVectorized +
+                            s.narrowphase.kernels.rowsVectorized));
+    add("kernel.remainder_rows",
+        static_cast<double>(s.solver.kernels.remainderRows +
+                            s.cloth.kernels.remainderRows +
+                            s.narrowphase.kernels.remainderRows));
     // Contact triplets routed through the fused fp32 fast path
     // (solver-only; zero when islands fall back to the generic
     // per-row sweep or under the Scalar backend).
-    metrics_.add("kernel.contact_units",
-                 static_cast<double>(s.solver.kernels.contactUnits));
-    metrics_.set("kernel.width",
-                 static_cast<double>(kernelBackend_->width()));
+    add("kernel.contact_units",
+        static_cast<double>(s.solver.kernels.contactUnits));
+    set("kernel.width", static_cast<double>(kernelBackend_->width()));
     // Gauges: the latest observation.
-    metrics_.set("arena.high_water_bytes",
-                 static_cast<double>(s.arenaHighWaterBytes));
-    metrics_.set("governor_rung",
-                 static_cast<double>(s.governor.ladderLevel));
-    metrics_.set("islands",
-                 static_cast<double>(s.islands.size()));
-    metrics_.set("islands_asleep",
-                 static_cast<double>(s.islandsAsleep));
-    metrics_.set("bodies_asleep",
-                 static_cast<double>(s.bodiesAsleep));
-    metrics_.set("bodies_quarantined",
-                 static_cast<double>(quarantinedBodies_.size()));
-    metrics_.set("workers",
-                 static_cast<double>(scheduler_.workerCount()));
+    set("arena.high_water_bytes",
+        static_cast<double>(s.arenaHighWaterBytes));
+    set("governor_rung", static_cast<double>(s.governor.ladderLevel));
+    set("islands", static_cast<double>(s.islands.size()));
+    set("islands_asleep", static_cast<double>(s.islandsAsleep));
+    set("bodies_asleep", static_cast<double>(s.bodiesAsleep));
+    set("bodies_quarantined",
+        static_cast<double>(quarantinedBodies_.size()));
+    set("workers", static_cast<double>(scheduler_.workerCount()));
+    parallax_assert(call == metrics_.entries().size());
 }
 
 std::string
@@ -939,11 +940,12 @@ World::interpolate(const RenderState &a, const RenderState &b,
     return out;
 }
 
-std::string
+Status
 World::writeTrace(const std::string &path) const
 {
     if (!trace_.enabled())
-        return "tracing is disabled (set WorldConfig::tracing)";
+        return failedPrecondition(
+            "tracing is disabled (set WorldConfig::tracing)");
     return trace_.writeChromeJson(path);
 }
 
@@ -1517,7 +1519,7 @@ World::phaseIslandCreation()
             continue;
         if (bb != nullptr && !bb->enabled())
             continue;
-        auto joint = std::make_unique<ContactJoint>(
+        ContactJoint &joint = contactJoints_.emplace_back(
             next_contact_id++, ba,
             (bb != nullptr && !bb->isStatic()) ? bb : nullptr,
             contact, config_.defaultMaterial);
@@ -1556,12 +1558,11 @@ World::phaseIslandCreation()
             // then have to claw back.
             if (best != nullptr &&
                 best->normal.dot(contact.normal) > 0.95) {
-                joint->setWarmStart(best->lambdas[0],
-                                    best->lambdas[1],
-                                    best->lambdas[2]);
+                joint.setWarmStart(best->lambdas[0],
+                                   best->lambdas[1],
+                                   best->lambdas[2]);
             }
         }
-        contactJoints_.push_back(std::move(joint));
     }
     stepStats_.contactJointsCreated = contactJoints_.size();
 
@@ -1571,8 +1572,8 @@ World::phaseIslandCreation()
         if (!j->broken())
             allJointsScratch_.push_back(j.get());
     }
-    for (const auto &j : contactJoints_)
-        allJointsScratch_.push_back(j.get());
+    for (ContactJoint &j : contactJoints_)
+        allJointsScratch_.push_back(&j);
 
     islandBuilder_.build(bodyPtrs_, allJointsScratch_,
                          lastIslandList_);
@@ -1694,7 +1695,6 @@ World::phaseIslandProcessing()
 
     const Island *island_base = lastIslandList_.data();
     if (scheduler_.workerCount() == 0 || solveIslands_.size() <= 1) {
-        stepStats_.islandsOnMainThread = solveIslands_.size();
         for (Island *island : solveIslands_) {
             PAX_TRACE_SCOPE_ID(
                 trace_, 0, "island_solve", stepCount_,
@@ -1702,7 +1702,6 @@ World::phaseIslandProcessing()
             solver_.solve(*island, paramsFor(*island));
         }
     } else {
-        stepStats_.islandsToWorkQueue = solveIslands_.size();
         // islandWorkQueueThreshold is the batching floor; the
         // committed per-row cost (scaled by this step's solver
         // iterations) widens it so one batch is worth roughly
@@ -1862,13 +1861,13 @@ World::phaseIslandProcessing()
     // vectors accumulated them.
     warmCache_.clear();
     std::uint32_t warm_seq = 0;
-    for (const auto &joint : contactJoints_) {
-        const Contact &c = joint->contact();
+    for (const ContactJoint &joint : contactJoints_) {
+        const Contact &c = joint.contact();
         const std::uint64_t key =
             (static_cast<std::uint64_t>(std::min(c.geomA, c.geomB))
              << 32) |
             std::max(c.geomA, c.geomB);
-        const Real *l = joint->solvedLambdas();
+        const Real *l = joint.solvedLambdas();
         warmCache_.push_back(WarmEntry{
             key, warm_seq++,
             CachedContact{c.position, c.normal,

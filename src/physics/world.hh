@@ -268,8 +268,6 @@ struct StepStats
     std::uint64_t contactsCreated = 0;
     std::uint64_t contactJointsCreated = 0;
     std::uint64_t jointsBroken = 0;
-    std::uint64_t islandsToWorkQueue = 0;
-    std::uint64_t islandsOnMainThread = 0;
     std::uint64_t clothColliderInsertions = 0;
     std::uint64_t islandsAsleep = 0;
     std::uint64_t bodiesAsleep = 0;
@@ -437,8 +435,7 @@ class World
     { return lastIslandList_; }
 
     /** Contact joints created during the last step. */
-    const std::vector<std::unique_ptr<ContactJoint>> &
-    lastContactJoints() const
+    const std::vector<ContactJoint> &lastContactJoints() const
     { return contactJoints_; }
 
     Real time() const { return time_; }
@@ -460,11 +457,11 @@ class World
 
     /**
      * Write everything traced so far as Chrome trace-event JSON
-     * (loadable in chrome://tracing or Perfetto). Returns "" on
-     * success, a readable error otherwise (including when tracing
-     * was never enabled).
+     * (loadable in chrome://tracing or Perfetto). Fails with
+     * FAILED_PRECONDITION when tracing was never enabled and with
+     * IO_ERROR when the file cannot be written.
      */
-    std::string writeTrace(const std::string &path) const;
+    Status writeTrace(const std::string &path) const;
 
     /** Run-cumulative counters and gauges, updated every step
      *  regardless of the tracing flag. */
@@ -665,6 +662,7 @@ class World
     EffectsManager effects_;
     TaskScheduler scheduler_;
     TraceCollector trace_;
+    /** Written only by updateMetrics (slot i is its i-th call). */
     MetricsRegistry metrics_;
 
     // Per-step scratch state. Everything here persists across steps
@@ -672,7 +670,10 @@ class World
     // step loop performs no heap allocations in these containers.
     std::vector<GeomPair> lastPairs_;
     std::vector<Contact> lastContacts_;
-    std::vector<std::unique_ptr<ContactJoint>> contactJoints_;
+    /** Rebuilt in place every step (clear + emplace keeps the
+     *  capacity); pointers into it are taken only once the step's
+     *  joints are all created. */
+    std::vector<ContactJoint> contactJoints_;
     std::vector<Island> lastIslandList_;
     StepStats stepStats_;
     /** Geom pointer array handed to the broadphase each step. */

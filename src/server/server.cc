@@ -9,13 +9,15 @@
  * which makes the per-session bookkeeping (tick counters, cost
  * samples) race-free without any locks.
  *
- * Everything the self-healing layer decides — fault firing, watchdog
- * classification, the recovery ladder, checkpoint cadence — runs on
- * the calling thread, outside the parallelFor, in session order,
- * from deterministic inputs (session tick counters and, in tests,
- * mockTickSeconds). The lanes only ever run World::step(); recovery
- * decisions therefore replay bitwise-identically at any worker
- * count.
+ * The self-healing layer splits the same way. The per-session reads
+ * — classify() and, for a healthy session, its due checkpoint
+ * capture — run on the lane right after the session's ticks: they
+ * touch that session's world and ring only. Everything that acts —
+ * fault firing, the recovery ladder, stats, metrics and the
+ * recovery log — runs on the calling thread, outside the
+ * parallelFor, in session order, from deterministic inputs (session
+ * tick counters and, in tests, mockTickSeconds). Recovery decisions
+ * therefore replay bitwise-identically at any worker count.
  */
 
 #include "server/server.hh"
@@ -506,19 +508,23 @@ Server::runPendingTicks()
 {
     std::vector<Session *> active;
     active.reserve(sessions_.size());
-    for (Session &s : sessions_)
+    for (Session &s : sessions_) {
+        s.laneVerdict.reset();
+        s.laneCheckpointed = false;
         if (s.pendingTicks > 0)
             active.push_back(&s);
+    }
     if (active.empty()) {
         stats_.lastUpdateSeconds = 0.0;
         return;
     }
 
+    const bool heal = selfHealingEnabled();
     const auto wall_start = std::chrono::steady_clock::now();
     scheduler_.parallelFor(
         active.size(), 1,
-        [this, &active](std::size_t begin, std::size_t end,
-                        unsigned /*lane*/) {
+        [this, &active, heal](std::size_t begin, std::size_t end,
+                              unsigned /*lane*/) {
             for (std::size_t i = begin; i < end; ++i) {
                 Session &s = *active[i];
                 for (int t = 0; t < s.pendingTicks; ++t) {
@@ -547,6 +553,15 @@ Server::runPendingTicks()
                     s.lastTickSeconds = s.stallSeconds;
                     s.stallSeconds = -1.0;
                 }
+                // The watchdog's per-session reads, done here while
+                // the world is hot in this lane's cache. Only the
+                // verdict is kept; the calling thread acts on it.
+                if (heal) {
+                    s.laneVerdict = classify(s);
+                    s.laneCheckpointed =
+                        *s.laneVerdict == WorldFailure::None &&
+                        checkpointIfDue(s);
+                }
             }
         });
     const auto wall_end = std::chrono::steady_clock::now();
@@ -561,7 +576,10 @@ Server::runPendingTicks()
         s->pendingTicks = 0;
     }
     stats_.ticksRun += ran;
-    metrics_.add("server.ticks", static_cast<double>(ran));
+    if (!ticksSlot_)
+        ticksSlot_ = metrics_.slot("server.ticks",
+                                   MetricsRegistry::Kind::Counter);
+    metrics_.add(*ticksSlot_, static_cast<double>(ran));
 }
 
 WorldFailure
@@ -656,7 +674,8 @@ Server::watchdogSweep()
             continue;
         }
 
-        const WorldFailure failure = classify(s);
+        const WorldFailure failure =
+            s.laneVerdict ? *s.laneVerdict : classify(s);
         if (failure == WorldFailure::None) {
             if (s.health == HealthState::Probation &&
                 s.ticksRun >= s.probationUntilTick) {
@@ -751,27 +770,50 @@ Server::watchdogSweep()
         destroyWorld(id);
 }
 
+bool
+Server::checkpointIfDue(Session &s)
+{
+    if (config_.checkpointIntervalTicks <= 0 ||
+        s.health == HealthState::Frozen)
+        return false;
+    if (s.ticksRun == 0 || s.ticksRun < s.nextCheckpointTick)
+        return false;
+    // Only provably-healthy states enter the ring: a checkpoint of a
+    // sick world would make rollback a no-op.
+    if (classify(s) != WorldFailure::None)
+        return false;
+    s.ring.push(s.ticksRun, s.world->captureState());
+    s.nextCheckpointTick =
+        s.ticksRun +
+        static_cast<std::uint64_t>(config_.checkpointIntervalTicks);
+    return true;
+}
+
 void
 Server::takeCheckpoints()
 {
     if (config_.checkpointIntervalTicks <= 0)
         return;
+    std::uint64_t taken = 0;
     for (Session &s : sessions_) {
-        if (s.health == HealthState::Frozen)
-            continue;
-        if (s.ticksRun == 0 || s.ticksRun < s.nextCheckpointTick)
-            continue;
-        // Only provably-healthy states enter the ring: a checkpoint
-        // of a sick world would make rollback a no-op.
-        if (classify(s) != WorldFailure::None)
-            continue;
-        s.ring.push(s.ticksRun, s.world->captureState());
-        s.nextCheckpointTick =
-            s.ticksRun + static_cast<std::uint64_t>(
-                             config_.checkpointIntervalTicks);
-        ++stats_.checkpoints;
-        metrics_.add("server.checkpoints", 1.0);
+        // A healthy lane verdict settles the checkpoint: the lane
+        // already captured it if due, and the watchdog never touches
+        // the world of a healthy session (a heal changes only the
+        // degradation floor and trace, neither of which a capture
+        // serializes). Sessions not ticked this update, and sick
+        // ones the watchdog may just have rolled back, decide here.
+        if (s.laneVerdict == WorldFailure::None)
+            taken += s.laneCheckpointed ? 1 : 0;
+        else
+            taken += checkpointIfDue(s) ? 1 : 0;
     }
+    if (taken == 0)
+        return;
+    stats_.checkpoints += taken;
+    if (!checkpointsSlot_)
+        checkpointsSlot_ = metrics_.slot(
+            "server.checkpoints", MetricsRegistry::Kind::Counter);
+    metrics_.add(*checkpointsSlot_, static_cast<double>(taken));
 }
 
 Status

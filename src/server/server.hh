@@ -36,13 +36,16 @@
  *    each healthy session into a per-world CheckpointRing (the K
  *    last-good snapshots, delta-encoded; staggered by session id so
  *    the capture cost spreads across updates).
- *  - watchdog: after every tick burst, each session is classified on
- *    the calling thread, in session order: a deferred invariant
- *    hard-fail, a permanent quarantine, a non-finite state, or a
- *    tick that overran ServerConfig::tickDeadline marks the world
- *    sick. Decisions key off deterministic inputs only (with
- *    mockTickSeconds supplying tick costs), so the same fault plan
- *    replays bitwise-identically at any worker count.
+ *  - watchdog: after every tick burst, each session is classified: a
+ *    deferred invariant hard-fail, a permanent quarantine, a
+ *    non-finite state, or a tick that overran
+ *    ServerConfig::tickDeadline marks the world sick. The lane that
+ *    ticked a session classifies it (and captures its due
+ *    checkpoint when healthy); the ladder's actions then apply on
+ *    the calling thread, in session order. Decisions key off
+ *    deterministic inputs only (with mockTickSeconds supplying tick
+ *    costs), so the same fault plan replays bitwise-identically at
+ *    any worker count.
  *  - recovery ladder: a sick world is rolled back to its newest
  *    reconstructable checkpoint; repeated trips add a degradation
  *    floor (demoteRungsPerRetry rungs per retry) and exponential
@@ -62,6 +65,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -538,6 +542,12 @@ class Server
         /** Pending StalledTick fault: >= 0 overrides the next tick
          *  burst's cost sample. */
         double stallSeconds = -1.0;
+        /** This update's watchdog verdict, taken by the lane right
+         *  after the session's tick burst (empty when the session
+         *  did not tick this update). */
+        std::optional<WorldFailure> laneVerdict;
+        /** The lane captured this update's due checkpoint. */
+        bool laneCheckpointed = false;
 
         // --- Shedder ladder state. ---
 
@@ -572,7 +582,9 @@ class Server
     /** Promote calm shed-demoted sessions back up (hysteresis). */
     void relaxShedRungs(bool pressured);
 
-    /** Run every session's pendingTicks on the shared scheduler. */
+    /** Run every session's pendingTicks on the shared scheduler.
+     *  With self-healing on, each lane also classifies the sessions
+     *  it ticked and captures their due checkpoints. */
     void runPendingTicks();
 
     /** Fire due ServerFaultPlan events (calling thread, session
@@ -582,12 +594,19 @@ class Server
     /** Classify a session against the failure ladder. */
     WorldFailure classify(const Session &s) const;
 
-    /** Classify every session and drive the recovery ladder; then
-     *  age and evict frozen sessions. */
+    /** Drive the recovery ladder from every session's verdict (the
+     *  lane's, or classify() for sessions not ticked this update);
+     *  then age and evict frozen sessions. */
     void watchdogSweep();
 
-    /** Capture due checkpoints of healthy sessions (staggered). */
+    /** Count the lanes' checkpoints and capture the remaining due
+     *  ones (sessions not ticked, or sick at the burst's end). */
     void takeCheckpoints();
+
+    /** Capture `s` into its ring when a checkpoint is due and the
+     *  world classifies healthy; true when it did. Touches only `s`,
+     *  so lanes call it too. */
+    bool checkpointIfDue(Session &s);
 
     /** Roll `s` back to its newest reconstructable checkpoint.
      *  Returns the restore status; fills `restoredTick`. */
@@ -608,6 +627,10 @@ class Server
     /** One flag per ServerFaultPlan event: fired yet? */
     std::vector<bool> faultFired_;
     std::vector<RecoveryRecord> recoveryLog_;
+    /** Per-update counters' registry slots, resolved on first use so
+     *  each key keeps its registration position. */
+    std::optional<MetricsRegistry::Slot> ticksSlot_;
+    std::optional<MetricsRegistry::Slot> checkpointsSlot_;
 };
 
 } // namespace parallax

@@ -485,10 +485,6 @@ TEST(Islands, TinyIslandsEngageAllLanes)
     bool all_lanes_ran = false;
     for (int step = 0; step < 200 && !all_lanes_ran; ++step) {
         world.step();
-        const StepStats &stats = world.lastStepStats();
-        // Every awake island is stealable work now.
-        EXPECT_EQ(stats.islandsToWorkQueue, 200u);
-        EXPECT_EQ(stats.islandsOnMainThread, 0u);
         all_lanes_ran = true;
         const std::vector<LaneStats> lanes =
             world.scheduler().laneStats();

@@ -11,12 +11,45 @@
  * joints, cloth, effects) long past warm-up and asserts every growth
  * counter stays flat. It carries the `perf` ctest label and runs via
  * the `check-perf` preset.
+ *
+ * This file is its own executable, so it replaces the global
+ * operator new with a counting one: a test can then assert that a
+ * step makes no heap allocation at all, not only that the engine's
+ * own growth counters stay flat.
  */
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include <gtest/gtest.h>
 
 #include "parallax.hh"
 #include "workload/benchmarks.hh"
+
+namespace
+{
+
+/** Heap allocations made through operator new, process-wide. */
+std::atomic<std::uint64_t> heapAllocations{0};
+
+void *
+countedAlloc(std::size_t size)
+{
+    heapAllocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+void *operator new(std::size_t size) { return countedAlloc(size); }
+void *operator new[](std::size_t size) { return countedAlloc(size); }
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
 
 namespace parallax
 {
@@ -58,6 +91,44 @@ TEST(PerfAlloc, SteadyStateStepsDoNotAllocate)
     // sidestepping them.
     EXPECT_GT(reuses, 0u);
     EXPECT_GT(world->lastStepStats().arenaHighWaterBytes, 0u);
+}
+
+TEST(PerfAlloc, SleepingSessionStepDoesNotAllocate)
+{
+    // The server fleet's common session: a ground plane and a
+    // 3-sphere stack, hosted configuration, asleep once settled.
+    // Thousands of these tick every server update, so any per-step
+    // allocation (a metrics key string, a heap-allocated contact
+    // joint) multiplies across the fleet.
+    WorldConfig config;
+    config.dt = 0.01;
+    config.deterministic = true;
+    config.autoDisable = true;
+    config.arenaBlockBytes = 8 * 1024;
+    World world(config);
+    const SphereShape *sphere = world.addSphere(0.5);
+    const PlaneShape *plane = world.addPlane(Vec3{0.0, 1.0, 0.0}, 0.0);
+    world.createGeom(plane,
+                     world.createStaticBody(Transform(Quat(), Vec3{})));
+    for (int i = 0; i < 3; ++i) {
+        RigidBody *body = world.createDynamicBody(
+            Transform(Quat(), Vec3{0.0, 0.6 + 1.05 * i, 0.0}), *sphere,
+            1.0);
+        world.createGeom(sphere, body);
+    }
+    for (int i = 0; i < 100; ++i)
+        world.step();
+    ASSERT_EQ(world.lastStepStats().bodiesAsleep, 3u)
+        << "the stack must be asleep before the measured window";
+    ASSERT_GT(world.lastStepStats().contactJointsCreated, 0u)
+        << "a sleeping stack still builds its contact joints";
+
+    for (int i = 0; i < 20; ++i) {
+        const std::uint64_t before = heapAllocations.load();
+        world.step();
+        EXPECT_EQ(heapAllocations.load() - before, 0u)
+            << "warm sleeping step " << i << " allocated";
+    }
 }
 
 TEST(PerfAlloc, ArenaHighWaterIsStable)

@@ -325,10 +325,47 @@ struct StormOutcome
     std::string log;
     std::vector<std::uint64_t> hashes;
     std::string metrics;
+    /** Each session's sessionHealth checkpoint fields, one line per
+     *  session in id order. */
+    std::string checkpoints;
 };
 
+/** A mixed storm: NaN poison, a corrupted ring entry ahead of a
+ *  second poisoning, a scripted stall, and a double hit that forces
+ *  a demoted second rollback. */
+std::vector<ServerFaultEvent>
+mixedStorm()
+{
+    return {
+        {12, 2, ServerFaultKind::NanState, 0, 0.0},
+        {10, 3, ServerFaultKind::CorruptCheckpoint, 0, 0.0},
+        {12, 3, ServerFaultKind::NanState, 1, 0.0},
+        {15, 4, ServerFaultKind::StalledTick, 0, 2.0},
+        {12, 5, ServerFaultKind::NanState, 0, 0.0},
+        {22, 5, ServerFaultKind::NanState, 1, 0.0},
+    };
+}
+
+/**
+ * World 2 checkpoints at ticks 3, 8, 13, ... (interval 5, staggered
+ * by id). Poisoned at tick 12, it trips in update 13, the very update
+ * its next checkpoint falls due: the watchdog rolls it back to tick 8
+ * and only then is the due checkpoint taken, of the restored state.
+ * A second poisoning at tick 14 trips inside the backoff window and
+ * is rolled back at tick 17, onto that tick-13 checkpoint.
+ */
+std::vector<ServerFaultEvent>
+rollbackOnCheckpointStorm()
+{
+    return {
+        {12, 2, ServerFaultKind::NanState, 0, 0.0},
+        {14, 2, ServerFaultKind::NanState, 1, 0.0},
+    };
+}
+
 StormOutcome
-runStorm(unsigned workers)
+runStorm(unsigned workers,
+         std::vector<ServerFaultEvent> events = mixedStorm())
 {
     ServerConfig sc;
     sc.workerThreads = workers;
@@ -340,17 +377,7 @@ runStorm(unsigned workers)
     sc.mockTickSeconds = [](std::uint64_t, WorldId) {
         return 0.001;
     };
-    // A mixed storm: NaN poison, a corrupted ring entry ahead of a
-    // second poisoning, a scripted stall, and a double hit that
-    // forces a demoted second rollback.
-    sc.faultPlan.events = {
-        {12, 2, ServerFaultKind::NanState, 0, 0.0},
-        {10, 3, ServerFaultKind::CorruptCheckpoint, 0, 0.0},
-        {12, 3, ServerFaultKind::NanState, 1, 0.0},
-        {15, 4, ServerFaultKind::StalledTick, 0, 2.0},
-        {12, 5, ServerFaultKind::NanState, 0, 0.0},
-        {22, 5, ServerFaultKind::NanState, 1, 0.0},
-    };
+    sc.faultPlan.events = std::move(events);
     Server server(sc);
     const BenchmarkId scenes[] = {
         BenchmarkId::Mix,      BenchmarkId::Periodic,
@@ -366,10 +393,30 @@ runStorm(unsigned workers)
 
     StormOutcome outcome;
     outcome.log = describeLog(server);
-    for (WorldId id : server.worldIds())
+    std::ostringstream checkpoints;
+    for (WorldId id : server.worldIds()) {
         outcome.hashes.push_back(worldStateHash(*server.world(id)));
+        SessionHealth health;
+        EXPECT_TRUE(server.sessionHealth(id, health).ok());
+        checkpoints << "w" << id << " n" << health.checkpoints << " b"
+                    << health.checkpointBytes << " t"
+                    << health.lastCheckpointTick << "\n";
+    }
     outcome.metrics = server.metricsLine();
+    outcome.checkpoints = checkpoints.str();
     return outcome;
+}
+
+/** The whole outcome as one comparable string. */
+std::string
+describeStorm(const StormOutcome &outcome)
+{
+    std::ostringstream out;
+    out << outcome.log << "hashes";
+    for (std::uint64_t h : outcome.hashes)
+        out << " " << std::hex << h << std::dec;
+    out << "\n" << outcome.metrics << "\n" << outcome.checkpoints;
+    return out.str();
 }
 
 TEST(Recovery, DecisionsAndStateBitwiseIdenticalAcrossWorkerCounts)
@@ -385,6 +432,73 @@ TEST(Recovery, DecisionsAndStateBitwiseIdenticalAcrossWorkerCounts)
             << "post-recovery state diverged at workers=" << workers;
         EXPECT_EQ(outcome.metrics, solo.metrics)
             << "metrics diverged at workers=" << workers;
+        EXPECT_EQ(outcome.checkpoints, solo.checkpoints)
+            << "checkpoint rings diverged at workers=" << workers;
+    }
+}
+
+// Goldens captured from the server whose watchdog classified and
+// checkpointed every session on the calling thread, after the tick
+// burst. Moving that per-session work onto the lanes must change no
+// decision, byte or hash.
+
+const char *const mixedStormGolden = R"(u13 w2 nonfinite_state rollback t13 rt8 rung0 OK
+u13 w3 nonfinite_state rollback t13 rt4 rung0 OK
+u13 w5 nonfinite_state rollback t13 rt11 rung0 OK
+u16 w4 deadline_overrun freeze t16 rt0 rung0 FAILED_PRECONDITION
+u20 w4 deadline_overrun evict t16 rt0 rung0 DATA_LOSS
+u21 w2 none heal t21 rt0 rung0 OK
+u21 w3 none heal t21 rt0 rung0 OK
+u21 w5 none heal t21 rt0 rung0 OK
+u23 w5 nonfinite_state rollback t23 rt21 rung0 OK
+u31 w5 none heal t31 rt0 rung0 OK
+hashes a29f7432bacc8990 dd9012c1015a15ed 1d8c55084d97e1bc fe71faa72ecc8ad a29f7432bacc8990
+{"pax_server":1,"worlds":5,"updates":40,"ticks_total":216,"ticks_shed_total":0,"admission_rejects":0,"checkpoints":43,"checkpoint_bytes":3368506,"watchdog_trips":5,"rollbacks":4,"recoveries":4,"demotions":0,"freezes":1,"evictions":1,"faults_injected":6,"resync_fulls":0}
+w1 n3 b1595006 t37
+w2 n3 b81408 t38
+w3 n3 b14851 t39
+w5 n3 b82235 t36
+w6 n3 b1595006 t37
+)";
+
+const char *const rollbackOnCheckpointGolden = R"(u13 w2 nonfinite_state rollback t13 rt8 rung0 OK
+u17 w2 nonfinite_state rollback_demote t17 rt13 rung2 OK
+u25 w2 none heal t25 rt0 rung0 OK
+hashes a29f7432bacc8990 82ebb835254e9474 2ee8746b0f33c59a a29f7432bacc8990 59bbfbc84b6ef116 a29f7432bacc8990
+{"pax_server":1,"worlds":6,"updates":40,"ticks_total":240,"ticks_shed_total":0,"admission_rejects":0,"checkpoints":48,"checkpoint_bytes":4987250,"watchdog_trips":4,"rollbacks":2,"recoveries":1,"demotions":1,"freezes":0,"evictions":0,"faults_injected":2,"resync_fulls":0}
+w1 n3 b1595006 t37
+w2 n3 b82158 t38
+w3 n3 b16171 t39
+w4 n3 b1617325 t40
+w5 n3 b81584 t36
+w6 n3 b1595006 t37
+)";
+
+TEST(Recovery, StormOutcomeMatchesGolden)
+{
+    for (unsigned workers : {0u, 2u, 8u}) {
+        EXPECT_EQ(describeStorm(runStorm(workers)), mixedStormGolden)
+            << "workers=" << workers;
+    }
+}
+
+TEST(Recovery, CheckpointDueInRollbackUpdateCapturesRestoredState)
+{
+    for (unsigned workers : {0u, 2u, 8u}) {
+        const StormOutcome outcome =
+            runStorm(workers, rollbackOnCheckpointStorm());
+        EXPECT_EQ(describeStorm(outcome), rollbackOnCheckpointGolden)
+            << "workers=" << workers;
+        // The rollback and the due checkpoint share update 13; the
+        // later rollback lands on that checkpoint.
+        EXPECT_NE(outcome.log.find("u13 w2 nonfinite_state rollback "
+                                   "t13 rt8 "),
+                  std::string::npos)
+            << outcome.log;
+        EXPECT_NE(outcome.log.find("u17 w2 nonfinite_state "
+                                   "rollback_demote t17 rt13 "),
+                  std::string::npos)
+            << outcome.log;
     }
 }
 

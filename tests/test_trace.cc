@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -176,7 +177,8 @@ TEST(Trace, DisabledTracingIsBitwiseIdentical)
     EXPECT_TRUE(world_off.captureState() == world_on.captureState());
     EXPECT_FALSE(world_off.trace().enabled());
     EXPECT_TRUE(world_off.trace().events().empty());
-    EXPECT_FALSE(world_off.writeTrace("/tmp/unused.json").empty());
+    EXPECT_EQ(world_off.writeTrace("/tmp/unused.json").code(),
+              StatusCode::FailedPrecondition);
 }
 
 namespace
@@ -237,7 +239,7 @@ TEST(Trace, ChromeJsonIsWellFormed)
 
     // writeTrace round-trips the same text through a file.
     const char *path = "/tmp/pax_test_trace.json";
-    EXPECT_EQ(world.writeTrace(path), "");
+    EXPECT_TRUE(world.writeTrace(path).ok());
     std::ifstream in(path);
     std::stringstream buf;
     buf << in.rdbuf();
@@ -333,6 +335,90 @@ TEST(Trace, MetricsRegistryCountersAndGauges)
     EXPECT_EQ(reg.toJson(), "{\"steps\":3,\"rung\":1}");
     reg.clear();
     EXPECT_TRUE(reg.entries().empty());
+}
+
+/** The server fleet's common session: a ground plane and a 3-sphere
+ *  stack, in the hosted configuration. */
+std::unique_ptr<World>
+buildSphereStack()
+{
+    WorldConfig config;
+    config.dt = 0.01;
+    config.deterministic = true;
+    config.autoDisable = true;
+    auto world = std::make_unique<World>(config);
+    const SphereShape *sphere = world->addSphere(0.5);
+    const PlaneShape *plane = world->addPlane({0, 1, 0}, 0.0);
+    world->createGeom(plane, world->createStaticBody(Transform()));
+    for (int i = 0; i < 3; ++i) {
+        RigidBody *body = world->createDynamicBody(
+            Transform(Quat(), {0, 0.6 + 1.05 * i, 0}), *sphere, 1.0);
+        world->createGeom(sphere, body);
+    }
+    return world;
+}
+
+/** The registry dump and the metrics line after `steps` steps. */
+std::string
+metricsAfter(World &world, int steps)
+{
+    for (int i = 0; i < steps; ++i)
+        world.step();
+    return world.metrics().toJson() + "\n" + world.metricsLine();
+}
+
+TEST(Trace, WorldMetricsMatchGolden)
+{
+    // Captured when every World::updateMetrics call was keyed by
+    // name: resolving the keys to slots must keep every key, its
+    // registration order and its value.
+    WorldConfig mix_config;
+    mix_config.deterministic = true;
+    auto mix = buildBenchmark(BenchmarkId::Mix, mix_config, 0.05);
+    EXPECT_EQ(metricsAfter(*mix, 30), R"({"steps":30,"pairs_found":42045,"contacts_created":90182,"contact_joints":88098,"joints_broken":1,"tasks_executed":300,"tasks_stolen":0,"governor_degradations":0,"governor_recoveries":0,"deadline_misses":0,"pairs_deferred":0,"faults_injected":0,"invariant_violations":0,"quarantine_events":0,"trace_events_dropped":0,"arena.growths":0,"solver.reuse":792,"kernel.rows_vectorized":0,"kernel.remainder_rows":0,"kernel.contact_units":0,"kernel.width":1,"arena.high_water_bytes":0,"governor_rung":0,"islands":29,"islands_asleep":0,"bodies_asleep":0,"bodies_quarantined":0,"workers":0}
+{"pax_metrics":1,"step":29,"steps_total":30,"pairs":1894,"contacts":3163,"contact_joints":3163,"islands":29,"islands_asleep":0,"bodies_asleep":0,"joints_broken":1,"cloth_vertices":675,"governor_rung":0,"pairs_deferred":0,"faults_injected":0,"quarantine_events":0,"violations_total":0,"quarantines_total":0})");
+
+    // The stack falls asleep within 100 steps; pin 30 steps past
+    // that, where a step takes the sleeping path.
+    auto stack = buildSphereStack();
+    EXPECT_EQ(metricsAfter(*stack, 130), R"({"steps":130,"pairs_found":611,"contacts_created":337,"contact_joints":337,"joints_broken":0,"tasks_executed":260,"tasks_stolen":0,"governor_degradations":0,"governor_recoveries":0,"deadline_misses":0,"pairs_deferred":0,"faults_injected":0,"invariant_violations":0,"quarantine_events":0,"trace_events_dropped":0,"arena.growths":0,"solver.reuse":73,"kernel.rows_vectorized":0,"kernel.remainder_rows":0,"kernel.contact_units":0,"kernel.width":1,"arena.high_water_bytes":0,"governor_rung":0,"islands":1,"islands_asleep":1,"bodies_asleep":3,"bodies_quarantined":0,"workers":0}
+{"pax_metrics":1,"step":129,"steps_total":130,"pairs":5,"contacts":3,"contact_joints":3,"islands":1,"islands_asleep":1,"bodies_asleep":3,"joints_broken":0,"cloth_vertices":0,"governor_rung":0,"pairs_deferred":0,"faults_injected":0,"quarantine_events":0,"violations_total":0,"quarantines_total":0})");
+}
+
+TEST(Trace, MetricSlotsShareEntriesWithNames)
+{
+    MetricsRegistry reg;
+    reg.add("first", 1);
+    const MetricsRegistry::Slot steps =
+        reg.slot("steps", MetricsRegistry::Kind::Counter);
+    const MetricsRegistry::Slot rung =
+        reg.slot("rung", MetricsRegistry::Kind::Gauge);
+    // The same name always resolves to the same slot, whichever
+    // kind the caller asks for.
+    EXPECT_EQ(reg.slot("steps", MetricsRegistry::Kind::Counter), steps);
+    EXPECT_EQ(reg.slot("steps", MetricsRegistry::Kind::Gauge), steps);
+    EXPECT_NE(steps, rung);
+    EXPECT_EQ(reg.entries()[steps].kind,
+              MetricsRegistry::Kind::Counter);
+    EXPECT_EQ(reg.entries()[rung].kind, MetricsRegistry::Kind::Gauge);
+
+    reg.add(steps, 2);
+    reg.add("steps", 3);
+    reg.add(steps, -5); // Ignored, as add(name) ignores it.
+    reg.set(rung, 4);
+    reg.set(rung, 2);
+    EXPECT_EQ(reg.value(steps), 5.0);
+    EXPECT_EQ(reg.value("steps"), 5.0);
+    EXPECT_EQ(reg.value(rung), 2.0);
+    // slot() registers in call order, exactly like add/set.
+    EXPECT_EQ(reg.toJson(), "{\"first\":1,\"steps\":5,\"rung\":2}");
+
+    // add(name) on an existing key resolves to the same entry.
+    reg.add("first", 1);
+    EXPECT_EQ(reg.value(reg.slot("first",
+                                 MetricsRegistry::Kind::Counter)),
+              2.0);
+    EXPECT_EQ(reg.entries().size(), 3u);
 }
 
 TEST(Trace, WorldMetricsAccumulate)

@@ -150,7 +150,8 @@ TEST(World, AllAwakeIslandsAreStealableWork)
     // cliff: with workers available, every awake island — the big
     // chain and the lonely single alike — is submitted to the
     // scheduler (small ones packed into shared batches). Nothing is
-    // pinned to the main thread.
+    // pinned to the main thread. The routing has no counter of its
+    // own; this pins the awake partition both worlds hand the solver.
     auto build = [](World &world) {
         const SphereShape *s = world.addSphere(0.3);
         std::vector<RigidBody *> chain;
@@ -176,16 +177,16 @@ TEST(World, AllAwakeIslandsAreStealableWork)
     build(world);
     world.step();
     const StepStats &stats = world.lastStepStats();
-    EXPECT_EQ(stats.islandsToWorkQueue, 2u);
-    EXPECT_EQ(stats.islandsOnMainThread, 0u);
+    EXPECT_EQ(stats.islands.size(), 2u);
+    EXPECT_EQ(stats.islandsAsleep, 0u);
 
     // Single-threaded worlds solve everything inline.
     config.workerThreads = 0;
     World serial(config);
     build(serial);
     serial.step();
-    EXPECT_EQ(serial.lastStepStats().islandsToWorkQueue, 0u);
-    EXPECT_EQ(serial.lastStepStats().islandsOnMainThread, 2u);
+    EXPECT_EQ(serial.lastStepStats().islands.size(), 2u);
+    EXPECT_EQ(serial.lastStepStats().islandsAsleep, 0u);
 }
 
 TEST(World, DisabledBodiesSkipAllPhases)

@@ -338,10 +338,10 @@ main(int argc, char **argv)
                     trace_path,
                     std::string(benchmarkInfo(id).shortName) + "_w" +
                         std::to_string(workers));
-                const std::string err = world->writeTrace(path);
-                if (!err.empty()) {
+                const Status st = world->writeTrace(path);
+                if (!st.ok()) {
                     std::fprintf(stderr, "trace write failed: %s\n",
-                                 err.c_str());
+                                 st.toString().c_str());
                 }
             }
             if (metrics_json) {
