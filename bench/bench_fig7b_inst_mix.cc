@@ -17,7 +17,7 @@ main(int argc, char **argv)
     parseCommonFlags(&argc, argv);
     printHeader("Figure 7b: per-phase instruction mix",
                 "Figure 7(b), section 6");
-    // Measure the benchmarks on the --sim-lanes event lanes, but
+    // Measure the benchmarks on the --sim-lanes host threads, but
     // fold the profiles serially in suite order: the += below is a
     // floating-point reduction, and only a fixed fold order keeps
     // the output byte-identical (the stat-merge rule of

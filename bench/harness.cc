@@ -1,15 +1,16 @@
 #include "harness.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdarg>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <tuple>
 
 #include "parallax/config.hh"
-#include "sim/event_queue.hh"
 
 namespace parallax
 {
@@ -64,6 +65,44 @@ unsigned sweepLanes = 0;
 double globalScale = 1.0;
 SimdBackend hostSimd = simdBackendFromEnv(SimdBackend::Scalar);
 
+/** Report a malformed flag value and exit with status 2. */
+[[noreturn]] void
+rejectFlag(const char *flag, const char *value, const char *what)
+{
+    std::fprintf(stderr, "invalid %s value '%s' (expected %s)\n",
+                 flag, value, what);
+    std::exit(2);
+}
+
+/** Parse all of `text` as a finite double. */
+bool
+parseFinite(const char *text, double &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno != 0 || !std::isfinite(v))
+        return false;
+    out = v;
+    return true;
+}
+
+/** Parse all of `text` as a non-negative decimal unsigned. */
+bool
+parseUnsigned(const char *text, unsigned &out)
+{
+    if (*text < '0' || *text > '9')
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long v = std::strtoul(text, &end, 10);
+    if (*end != '\0' || errno != 0 ||
+        v > std::numeric_limits<unsigned>::max())
+        return false;
+    out = static_cast<unsigned>(v);
+    return true;
+}
+
 } // namespace
 
 void
@@ -82,25 +121,30 @@ parseCommonFlags(int *argc, char **argv)
         else if (std::strcmp(argv[i], "--metrics-json") == 0)
             metricsJson = true;
         else if (std::strncmp(argv[i], budgetFlag,
-                              sizeof(budgetFlag) - 1) == 0)
-            frameBudget =
-                std::atof(argv[i] + sizeof(budgetFlag) - 1);
-        else if (std::strncmp(argv[i], traceFlag,
-                              sizeof(traceFlag) - 1) == 0)
+                              sizeof(budgetFlag) - 1) == 0) {
+            const char *value = argv[i] + sizeof(budgetFlag) - 1;
+            if (!parseFinite(value, frameBudget) || frameBudget < 0)
+                rejectFlag("--frame-budget", value,
+                           "a finite number of seconds >= 0");
+        } else if (std::strncmp(argv[i], traceFlag,
+                                sizeof(traceFlag) - 1) == 0)
             tracePath = argv[i] + sizeof(traceFlag) - 1;
         else if (std::strncmp(argv[i], benchOutFlag,
                               sizeof(benchOutFlag) - 1) == 0)
             benchOut = argv[i] + sizeof(benchOutFlag) - 1;
         else if (std::strncmp(argv[i], lanesFlag,
-                              sizeof(lanesFlag) - 1) == 0)
-            sweepLanes = static_cast<unsigned>(
-                std::atoi(argv[i] + sizeof(lanesFlag) - 1));
-        else if (std::strncmp(argv[i], scaleFlag,
-                              sizeof(scaleFlag) - 1) == 0)
-            globalScale =
-                std::atof(argv[i] + sizeof(scaleFlag) - 1);
-        else if (std::strncmp(argv[i], simdFlag,
-                              sizeof(simdFlag) - 1) == 0) {
+                              sizeof(lanesFlag) - 1) == 0) {
+            const char *value = argv[i] + sizeof(lanesFlag) - 1;
+            if (!parseUnsigned(value, sweepLanes))
+                rejectFlag("--sim-lanes", value,
+                           "a non-negative integer");
+        } else if (std::strncmp(argv[i], scaleFlag,
+                                sizeof(scaleFlag) - 1) == 0) {
+            const char *value = argv[i] + sizeof(scaleFlag) - 1;
+            if (!parseFinite(value, globalScale) || globalScale <= 0)
+                rejectFlag("--scale", value, "a finite number > 0");
+        } else if (std::strncmp(argv[i], simdFlag,
+                                sizeof(simdFlag) - 1) == 0) {
             const char *value = argv[i] + sizeof(simdFlag) - 1;
             if (!parseSimdBackend(value, hostSimd)) {
                 std::fprintf(stderr,
@@ -230,32 +274,18 @@ runSweep(std::size_t count,
         return;
     }
 
-    // Deal the points round-robin onto event lanes: every point is
-    // one event at tick 0, so one quantum runs the whole sweep with
-    // per-lane deal order preserved. The scheduler supplies one host
-    // lane per event lane; idle hosts steal whole lanes.
-    LaneSet set(lanes, SimConfig{lanes, /*quantum=*/1});
+    // Every point is one stealable task: pool lanes take points as
+    // they free up, and the bench prints its pre-sized slots after
+    // the sweep, so the interleaving never reaches stdout.
     SchedulerConfig sched;
     sched.workerThreads = lanes - 1;
-    sched.grainSize = 1;
+    sched.deterministic = true; // Fixed tiling: one point per chunk.
     TaskScheduler scheduler(sched);
-    set.setParallelRunner(
-        [&scheduler](unsigned laneCount,
-                     const std::function<void(unsigned)> &runLane) {
-            scheduler.parallelFor(
-                laneCount, 1,
-                [&runLane](std::size_t begin, std::size_t end,
-                           unsigned) {
-                    for (std::size_t i = begin; i < end; ++i)
-                        runLane(static_cast<unsigned>(i));
-                });
+    scheduler.parallelFor(
+        count, 1, [&fn](std::size_t begin, std::size_t end, unsigned) {
+            for (std::size_t i = begin; i < end; ++i)
+                fn(i);
         });
-    for (std::size_t i = 0; i < count; ++i) {
-        set.lane(static_cast<unsigned>(i % lanes))
-            .queue()
-            .schedule(0, [&fn, i] { fn(i); });
-    }
-    set.run();
 }
 
 void
@@ -284,8 +314,8 @@ MeasureOptions::worldConfig() const
     config.workerThreads = hostWorkers;
     config.grainSize = hostGrainSize;
     config.deterministic = hostDeterministic;
-    config.checkInvariants =
-        hostCheckInvariants || invariantChecksEnabled();
+    if (hostCheckInvariants || invariantChecksEnabled())
+        config.invariantMode = InvariantMode::HardFail;
     // --frame-budget: measure under real-time degradation. The
     // governor keys off frames of `stepsPerFrame` substeps.
     config.frameBudget = hostFrameBudget();
@@ -608,7 +638,8 @@ measureHostPhases(BenchmarkId id, unsigned workers, double scale,
     config.workerThreads = workers;
     config.deterministic = true; // Same work at every worker count.
     config.overlapPhases = overlap;
-    config.checkInvariants = invariantChecksEnabled();
+    if (invariantChecksEnabled())
+        config.invariantMode = InvariantMode::HardFail;
     config.tracing = !hostTracePath().empty();
     config.simdBackend = hostSimd;
     auto world = buildBenchmark(id, config, scale * globalScale);

@@ -78,7 +78,8 @@ struct MeasureOptions
  *   --frame-budget=SEC   run every measured simulation under the
  *                        real-time step governor with a SEC-second
  *                        display-frame budget (0 disables; see
- *                        WorldConfig::frameBudget)
+ *                        WorldConfig::frameBudget; SEC must be
+ *                        finite and >= 0)
  *   --trace=FILE         record per-phase spans in every measured
  *                        simulation and write Chrome trace JSON to
  *                        FILE, decorated per scene/worker count
@@ -88,21 +89,24 @@ struct MeasureOptions
  *   --bench-out=FILE     override the BENCH_*.json output path of
  *                        benches that stage trend-tracking results
  *   --sim-lanes=N        run independent sweep points of the bench
- *                        on N event lanes (runSweep below); 0 = the
- *                        serial reference order. Table/figure output
- *                        is byte-identical either way; only the
- *                        interleaving of --trace/--metrics-json side
- *                        channels emitted *during* measurement may
- *                        change order (docs/SIMULATOR.md)
+ *                        on N host threads (runSweep below); 0 or 1
+ *                        = the serial reference order. Table/figure
+ *                        output is byte-identical either way; only
+ *                        the interleaving of --trace/--metrics-json
+ *                        side channels emitted *during* measurement
+ *                        may change order (docs/OBSERVABILITY.md)
  *   --scale=F            multiply every measured scene's scale by F
- *                        (tools/check_figs.py smoke-runs figures at
- *                        F << 1; figures for the paper use F = 1)
+ *                        (F finite and > 0; tools/check_figs.py
+ *                        smoke-runs figures at F << 1; figures for
+ *                        the paper use F = 1)
  *   --simd=BACKEND       kernel backend for every measured world:
  *                        "scalar" (bitwise reference, the default)
  *                        or "native" (SIMD kernels; prints a notice
  *                        and degrades to scalar on hosts without
  *                        AVX2/NEON). The PAX_SIMD environment
  *                        variable sets the default; the flag wins
+ * A malformed --sim-lanes, --scale, --frame-budget or --simd value
+ * prints a message and exits with status 2.
  */
 void parseCommonFlags(int *argc, char **argv);
 
@@ -127,7 +131,7 @@ void setMetricsJson(bool enabled);
 /** BENCH output override from --bench-out; empty = bench default. */
 const std::string &benchOutPath();
 
-/** Event lanes for runSweep from --sim-lanes; 0 = serial. */
+/** Host threads for runSweep from --sim-lanes; 0 or 1 = serial. */
 unsigned simLanes();
 void setSimLanes(unsigned lanes);
 
@@ -142,14 +146,14 @@ void setHostSimdBackend(SimdBackend backend);
 /**
  * Run `count` independent sweep points, fn(0) .. fn(count-1).
  *
- * With simLanes() == 0 this is a plain serial loop. With N > 0 the
- * points are dealt round-robin onto min(N, count) event lanes of a
- * LaneSet (sim/event_queue.hh) driven by a work-stealing scheduler:
- * points on one lane run in deal order, lanes run concurrently.
- * Callers must make fn(i) independent of fn(j): write results into
- * pre-sized slots and print them *after* runSweep returns, so the
- * figure output stays byte-identical to the serial order. The shared
- * measuredRun() cache is safe to hit from inside fn.
+ * With simLanes() <= 1 this is a plain serial loop. With N > 1 the
+ * points run as one TaskScheduler::parallelFor over min(N, count)
+ * host threads, each point its own stealable task, in no fixed
+ * order. Callers must make fn(i) independent of fn(j): write
+ * results into pre-sized slots and print them *after* runSweep
+ * returns, so the figure output stays byte-identical to the serial
+ * order. The shared measuredRun() cache is safe to hit from inside
+ * fn.
  */
 void runSweep(std::size_t count,
               const std::function<void(std::size_t)> &fn);
@@ -195,7 +199,7 @@ const char *tag(BenchmarkId id);
  * printf-append to `out`. Sweep points run off the main thread under
  * --sim-lanes, so benches format each table row into its own string
  * slot with this and print the slots in order afterwards — the bytes
- * on stdout never depend on the lane interleaving.
+ * on stdout never depend on the thread interleaving.
  */
 void appendf(std::string &out, const char *fmt, ...)
 #if defined(__GNUC__)

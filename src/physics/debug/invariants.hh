@@ -22,10 +22,10 @@
  *  - cloth particles are finite and no distance constraint is
  *    stretched beyond tolerance (a blown-up relaxation solve).
  *
- * Enabled with WorldConfig::checkInvariants, World::step() runs the
- * checker after every substep and, on any violation, dumps the
- * pre-step snapshot (see capture.hh) so the failure replays in one
- * step under a debugger.
+ * Enabled with any WorldConfig::invariantMode but Off, World::step()
+ * runs the checker after every substep and, on any violation, dumps
+ * the pre-step snapshot (see capture.hh) so the failure replays in
+ * one step under a debugger.
  */
 
 #ifndef PARALLAX_PHYSICS_DEBUG_INVARIANTS_HH

@@ -2,9 +2,9 @@
 """Smoke driver for the figure-reproduction pipeline.
 
 Discovers every `bench_fig*` binary registered in bench/CMakeLists.txt,
-runs each one at a tiny scene scale with the quantum-parallel sweep
-enabled (--scale and --sim-lanes, both handled by the shared harness —
-see docs/SIMULATOR.md), and fails if
+runs each one at a tiny scene scale with the threaded sweep enabled
+(--scale and --sim-lanes, both handled by the shared harness — see
+docs/SIMULATOR.md), and fails if
 
 - a registered fig bench has no built binary in the bench dir,
 - any bench exits nonzero (or crashes / times out), or
@@ -13,7 +13,7 @@ see docs/SIMULATOR.md), and fails if
 This is a liveness gate, not a numbers gate: it proves every figure in
 EXPERIMENTS.md can still be regenerated end-to-end, in seconds. The
 exit code is the number of failing benches (0 = pass), so CMake
-registers it directly as the `check_figs` test (check-sim preset).
+registers it directly as the `check_figs` test (check-figs preset).
 
 Run: python3 tools/check_figs.py <bench-binary-dir>
          [--cmake=bench/CMakeLists.txt] [--scale=0.05]
