@@ -9,7 +9,7 @@
 
 #include "cpu/ooo_core.hh"
 #include "isa/kernels.hh"
-#include "mem/cache.hh"
+#include "mem/hierarchy.hh"
 #include "parallax.hh"
 
 namespace parallax
@@ -95,6 +95,37 @@ BM_CacheAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheAccess);
+
+/**
+ * Cache-replay rate of the memory hierarchy: one warm step of a small
+ * Mix scene replayed through a shared 4 MB L2 by the 1-thread and the
+ * 4-thread model (items = references).
+ */
+void
+BM_HierarchyReplay(benchmark::State &state)
+{
+    const unsigned threads = static_cast<unsigned>(state.range(0));
+    auto world = buildBenchmark(BenchmarkId::Mix, WorldConfig(), 0.3);
+    for (int i = 0; i < 3; ++i)
+        world->step();
+    TraceOptions options;
+    options.threads = threads;
+    options.kernelBytesPerThread = kernelFootprintForThreads(threads);
+    const StepTrace trace = TraceGenerator(options).generate(*world);
+
+    HierarchyConfig config;
+    config.threads = threads;
+    config.plan = L2Plan::shared(4);
+    MemoryHierarchy hierarchy(config);
+    hierarchy.replayStep(trace); // Warm the caches.
+    for (auto _ : state)
+        hierarchy.replayStep(trace);
+    benchmark::DoNotOptimize(hierarchy.totalStats());
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(trace.totalRefs()));
+}
+BENCHMARK(BM_HierarchyReplay)->Arg(1)->Arg(4)->Unit(
+    benchmark::kMillisecond);
 
 void
 BM_OooCoreKernel(benchmark::State &state)

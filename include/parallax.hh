@@ -20,7 +20,7 @@
  *                          fallible public call.
  *
  * Consumers (benches, examples, downstream tools) include this one
- * umbrella — or the specific parallax/*.hh they need — instead of
+ * umbrella — or the specific `parallax/` header they need — instead of
  * reaching into `physics/...` internals, so the engine's threading
  * model and module layout can evolve without breaking call sites.
  * The check_public_api ctest guard enforces exactly that for the

@@ -7,7 +7,7 @@
 namespace parallax
 {
 
-Cache::Cache(CacheConfig config) : config_(config)
+CacheTags::CacheTags(CacheConfig config) : config_(config)
 {
     if (config_.sizeBytes == 0 || config_.lineBytes <= 0)
         fatal("cache size and line size must be positive");
@@ -50,21 +50,11 @@ Cache::access(std::uint64_t addr, bool write, bool kernel)
 {
     ++stats_.accesses;
     const std::uint64_t line = lineIndex(addr);
-    const std::uint64_t dirty = write ? dirtyBit : 0;
-    Line *base = &lines_[setBase(line)];
-
-    // Lookup.
-    for (int w = 0; w < config_.ways; ++w) {
-        Line &entry = base[w];
-        if (entry.holds(line)) {
-            entry.lastUse = ++useCounter_;
-            entry.word |= dirty;
-            ++stats_.hits;
-            return true;
-        }
+    const LineAccess result = accessLine(line, write);
+    if (result.hit) {
+        ++stats_.hits;
+        return true;
     }
-
-    // Miss: classify, then fill into the LRU way.
     ++stats_.misses;
     if (firstTouch(line))
         ++stats_.compulsoryMisses;
@@ -72,26 +62,13 @@ Cache::access(std::uint64_t addr, bool write, bool kernel)
         ++stats_.kernelMisses;
     else
         ++stats_.userMisses;
-
-    Line *victim = &base[0];
-    for (int w = 1; w < config_.ways; ++w) {
-        Line &entry = base[w];
-        if ((entry.word & validBit) == 0) {
-            victim = &entry;
-            break;
-        }
-        if (entry.lastUse < victim->lastUse)
-            victim = &entry;
-    }
-    if ((victim->word & (validBit | dirtyBit)) == (validBit | dirtyBit))
+    if (result.writeback)
         ++stats_.writebacks;
-    victim->word = line << 2 | dirty | validBit;
-    victim->lastUse = ++useCounter_;
     return false;
 }
 
 bool
-Cache::probe(std::uint64_t addr) const
+CacheTags::probe(std::uint64_t addr) const
 {
     const std::uint64_t line = lineIndex(addr);
     const Line *base = &lines_[setBase(line)];
@@ -103,7 +80,7 @@ Cache::probe(std::uint64_t addr) const
 }
 
 bool
-Cache::invalidate(std::uint64_t addr)
+CacheTags::invalidate(std::uint64_t addr)
 {
     const std::uint64_t line = lineIndex(addr);
     Line *base = &lines_[setBase(line)];
@@ -118,14 +95,14 @@ Cache::invalidate(std::uint64_t addr)
 }
 
 void
-Cache::flush()
+CacheTags::flush()
 {
     for (Line &entry : lines_)
         entry.word &= ~validBit;
 }
 
 std::uint64_t
-Cache::residentLines() const
+CacheTags::residentLines() const
 {
     std::uint64_t count = 0;
     for (const Line &entry : lines_)

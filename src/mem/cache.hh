@@ -10,12 +10,18 @@
  * sets. Way counts up to fully-associative support the paper's
  * 1024-way miss-classification experiment.
  *
+ * Two layers: CacheTags is the tag store alone (lines, LRU stamps,
+ * the victim rule) and keeps no counters; the memory hierarchy is
+ * built from it, since its only output is its own per-phase
+ * counters. Cache adds the standalone counters (CacheStats) and the
+ * compulsory-miss classification, a paged first-touch bitmap over
+ * line indices, on top of the same lookup/fill routine.
+ *
  * Each way is 16 bytes (a `tag << 2 | dirty << 1 | valid` word and an
  * LRU stamp), so a 4-way set is 64 bytes, one host cache line. The line
  * index is a shift (line sizes are powers of two) and the set index a
  * mask when the set count is a power of two, an exact modulo
- * otherwise (a 9 MB 4-way L2 has 36,864 sets). Compulsory misses are
- * classified with a paged first-touch bitmap over line indices.
+ * otherwise (a 9 MB 4-way L2 has 36,864 sets).
  */
 
 #ifndef PARALLAX_MEM_CACHE_HH
@@ -62,8 +68,15 @@ struct CacheStats
     }
 };
 
+/** Outcome of one CacheTags::accessLine. */
+struct LineAccess
+{
+    bool hit;
+    bool writeback; ///< The fill evicted a valid dirty line.
+};
+
 /**
- * One set-associative cache with LRU replacement.
+ * The tag store of one set-associative cache with LRU replacement.
  *
  * Victim rule, kept exactly as the figures were produced: the scan
  * starts at way 0 and, from way 1 on, takes the first invalid way,
@@ -76,20 +89,22 @@ struct CacheStats
  * Coherence invalidations reach the L1s in multi-thread replays, so
  * fixing this changes figure output (Fig 6b's 8-thread row).
  */
-class Cache
+class CacheTags
 {
   public:
-    explicit Cache(CacheConfig config);
+    explicit CacheTags(CacheConfig config);
+
+    /** Line index of a byte address. */
+    std::uint64_t lineIndex(std::uint64_t addr) const
+    { return addr >> lineShift_; }
 
     /**
-     * Access one line.
+     * Look a line up and, on a miss, fill it into the victim way.
      *
-     * @param addr Byte address (any byte of the line).
+     * @param line Line index (lineIndex() of the address).
      * @param write Marks the line dirty.
-     * @param kernel Attribute misses to the kernel counter.
-     * @return True on hit.
      */
-    bool access(std::uint64_t addr, bool write, bool kernel = false);
+    LineAccess accessLine(std::uint64_t line, bool write);
 
     /** True if the line is currently resident (no state change). */
     bool probe(std::uint64_t addr) const;
@@ -97,12 +112,10 @@ class Cache
     /** Invalidate a line if present; returns true if it was dirty. */
     bool invalidate(std::uint64_t addr);
 
-    /** Drop all lines (keeps stats and first-touch history). */
+    /** Drop all lines. */
     void flush();
 
     const CacheConfig &config() const { return config_; }
-    const CacheStats &stats() const { return stats_; }
-    void resetStats() { stats_.reset(); }
 
     int numSets() const { return numSets_; }
 
@@ -124,9 +137,6 @@ class Cache
         { return (word & ~dirtyBit) == (line << 2 | validBit); }
     };
 
-    std::uint64_t lineIndex(std::uint64_t addr) const
-    { return addr >> lineShift_; }
-
     /** Index in lines_ of the first way of the set holding `line`. */
     std::uint64_t
     setBase(std::uint64_t line) const
@@ -136,9 +146,6 @@ class Cache
         return set * config_.ways;
     }
 
-    /** Marks `line` touched; true if it never was before. */
-    bool firstTouch(std::uint64_t line);
-
     CacheConfig config_;
     int numSets_;
     int lineShift_ = 0;
@@ -146,6 +153,73 @@ class Cache
     std::uint64_t setMask_ = 0; ///< numSets_ - 1 when pow2Sets_.
     std::vector<Line> lines_;   ///< numSets_ x ways, row-major.
     std::uint64_t useCounter_ = 0;
+};
+
+inline LineAccess
+CacheTags::accessLine(std::uint64_t line, bool write)
+{
+    const std::uint64_t dirty = write ? dirtyBit : 0;
+    Line *base = &lines_[setBase(line)];
+    const int ways = config_.ways;
+
+    // Lookup. A valid line is held by at most one way of its set, so
+    // the scan needs no early exit: it selects the matching way
+    // without a data-dependent branch.
+    int hit = -1;
+    for (int w = 0; w < ways; ++w)
+        hit = base[w].holds(line) ? w : hit;
+    if (hit >= 0) {
+        base[hit].lastUse = ++useCounter_;
+        base[hit].word |= dirty;
+        return {true, false};
+    }
+
+    // Miss: fill into the victim way (rule on the class comment).
+    Line *victim = &base[0];
+    for (int w = 1; w < ways; ++w) {
+        Line &entry = base[w];
+        if ((entry.word & validBit) == 0) {
+            victim = &entry;
+            break;
+        }
+        if (entry.lastUse < victim->lastUse)
+            victim = &entry;
+    }
+    const bool writeback =
+        (victim->word & (validBit | dirtyBit)) == (validBit | dirtyBit);
+    victim->word = line << 2 | dirty | validBit;
+    victim->lastUse = ++useCounter_;
+    return {false, writeback};
+}
+
+/**
+ * A standalone cache: CacheTags plus hit/miss counters and the
+ * compulsory-miss classification.
+ */
+class Cache : public CacheTags
+{
+  public:
+    using CacheTags::CacheTags;
+
+    /**
+     * Access one line.
+     *
+     * @param addr Byte address (any byte of the line).
+     * @param write Marks the line dirty.
+     * @param kernel Attribute misses to the kernel counter.
+     * @return True on hit.
+     */
+    bool access(std::uint64_t addr, bool write, bool kernel = false);
+
+    /** Counters since construction or resetStats(); flush() keeps
+     *  them and the first-touch history. */
+    const CacheStats &stats() const { return stats_; }
+    void resetStats() { stats_.reset(); }
+
+  private:
+    /** Marks `line` touched; true if it never was before. */
+    bool firstTouch(std::uint64_t line);
+
     PagedTable<std::uint64_t> touched_; ///< Bit per line, for compulsory.
     CacheStats stats_;
 };

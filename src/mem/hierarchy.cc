@@ -1,6 +1,7 @@
 #include "hierarchy.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -50,8 +51,7 @@ MemoryHierarchy::MemoryHierarchy(HierarchyConfig config)
         fatal("hierarchy needs at least one thread");
     if (config_.threads > 32)
         fatal("directory bitmask supports at most 32 threads");
-    for (unsigned t = 0; t < config_.threads; ++t)
-        l1s_.push_back(std::make_unique<Cache>(config_.l1));
+    l1s_.assign(config_.threads, CacheTags(config_.l1));
     for (int p = 0; p < numPhases; ++p) {
         const int part = config_.plan.partitionOf[p];
         if (part < 0 ||
@@ -61,53 +61,44 @@ MemoryHierarchy::MemoryHierarchy(HierarchyConfig config)
                   part);
         }
     }
-    for (const std::uint64_t bytes : config_.plan.partitionBytes) {
-        l2Partitions_.push_back(std::make_unique<Cache>(
-            CacheConfig{bytes, config_.l2Ways, 64}));
-    }
+    for (const std::uint64_t bytes : config_.plan.partitionBytes)
+        l2Partitions_.emplace_back(CacheConfig{bytes, config_.l2Ways, 64});
 }
 
-Tick
-MemoryHierarchy::access(unsigned thread, Phase phase,
-                        const MemRef &ref)
+inline Tick
+MemoryHierarchy::serve(unsigned thread, const MemRef &ref,
+                       PhaseMemStats &stats, CacheTags &l2,
+                       bool coherent)
 {
-    parallax_assert(thread < l1s_.size());
-    PhaseMemStats &stats = phaseStats_[static_cast<int>(phase)];
-    ++stats.refs;
-
     const std::uint64_t line = ref.addr >> 6;
 
     // Coherence: a write invalidates every other L1's copy (MOESI
     // M-state acquisition through the directory).
-    if (ref.write && config_.threads > 1) {
+    if (coherent && ref.write) {
         const std::uint32_t others =
             directory_.get(line) & ~(1u << thread);
         if (others != 0) {
-            for (unsigned t = 0; t < config_.threads; ++t) {
-                if ((others >> t) & 1u) {
-                    l1s_[t]->invalidate(ref.addr);
-                    ++stats.invalidations;
-                }
-            }
+            for (std::uint32_t m = others; m != 0; m &= m - 1)
+                l1s_[std::countr_zero(m)].invalidate(ref.addr);
+            stats.invalidations += std::popcount(others);
             directory_.at(line) = 1u << thread;
         }
     }
 
     // L1 lookup.
+    CacheTags &l1 = l1s_[thread];
     Tick latency = config_.l1Latency;
-    if (l1s_[thread]->access(ref.addr, ref.write)) {
+    if (l1.accessLine(l1.lineIndex(ref.addr), ref.write).hit) {
         ++stats.l1Hits;
         stats.cycles += latency;
         return latency;
     }
-    if (config_.threads > 1)
+    if (coherent)
         directory_.at(line) |= 1u << thread;
 
     // L2 partition lookup.
-    Cache &l2 = *l2Partitions_[config_.plan.partitionOf[
-        static_cast<int>(phase)]];
     latency += config_.l2Latency;
-    if (l2.access(ref.addr, ref.write, ref.kernel)) {
+    if (l2.accessLine(l2.lineIndex(ref.addr), ref.write).hit) {
         ++stats.l2Hits;
         stats.cycles += latency;
         return latency;
@@ -124,20 +115,36 @@ MemoryHierarchy::access(unsigned thread, Phase phase,
     return latency;
 }
 
+Tick
+MemoryHierarchy::access(unsigned thread, Phase phase,
+                        const MemRef &ref)
+{
+    parallax_assert(thread < l1s_.size());
+    const int p = static_cast<int>(phase);
+    PhaseMemStats &stats = phaseStats_[p];
+    ++stats.refs;
+    return serve(thread, ref, stats,
+                 l2Partitions_[config_.plan.partitionOf[p]],
+                 config_.threads > 1);
+}
+
 void
 MemoryHierarchy::replayStep(const StepTrace &trace,
                             int interleave_granularity)
 {
     const unsigned threads = config_.threads;
+    const bool coherent = threads > 1;
     for (int p = 0; p < numPhases; ++p) {
-        const Phase phase = static_cast<Phase>(p);
         const auto &refs = trace.phase[p];
         if (refs.empty())
             continue;
+        PhaseMemStats &stats = phaseStats_[p];
+        CacheTags &l2 = l2Partitions_[config_.plan.partitionOf[p]];
+        stats.refs += refs.size();
 
-        if (threads <= 1 || phaseIsSerial(phase)) {
+        if (!coherent || phaseIsSerial(static_cast<Phase>(p))) {
             for (const MemRef &ref : refs)
-                access(0, phase, ref);
+                serve(0, ref, stats, l2, coherent);
             continue;
         }
 
@@ -162,7 +169,7 @@ MemoryHierarchy::replayStep(const StepTrace &trace,
                     pos + static_cast<std::size_t>(
                               interleave_granularity));
                 for (; pos < stop; ++pos)
-                    access(t, phase, refs[begin + pos]);
+                    serve(t, refs[begin + pos], stats, l2, true);
                 if (pos < end - begin)
                     work_left = true;
             }
@@ -192,19 +199,15 @@ MemoryHierarchy::resetStats()
 {
     for (PhaseMemStats &s : phaseStats_)
         s.reset();
-    for (auto &l1 : l1s_)
-        l1->resetStats();
-    for (auto &l2 : l2Partitions_)
-        l2->resetStats();
 }
 
 void
 MemoryHierarchy::flushAll()
 {
-    for (auto &l1 : l1s_)
-        l1->flush();
-    for (auto &l2 : l2Partitions_)
-        l2->flush();
+    for (CacheTags &l1 : l1s_)
+        l1.flush();
+    for (CacheTags &l2 : l2Partitions_)
+        l2.flush();
     directory_.clear();
 }
 

@@ -13,13 +13,18 @@
  * table in which 0 means "no entry": an entry is created with the
  * reading thread's bit and a write resets it to the writer's bit, so
  * a listed line never has an empty mask.
+ *
+ * The hierarchy's only output is its per-phase PhaseMemStats, so its
+ * caches are bare tag stores (CacheTags: no per-cache counters, no
+ * first-touch history). replayStep resolves a phase's stats, L2
+ * partition and thread model once per phase and then runs the same
+ * per-reference routine as access().
  */
 
 #ifndef PARALLAX_MEM_HIERARCHY_HH
 #define PARALLAX_MEM_HIERARCHY_HH
 
 #include <array>
-#include <memory>
 #include <vector>
 
 #include "cache.hh"
@@ -116,14 +121,19 @@ class MemoryHierarchy
 
     const HierarchyConfig &config() const { return config_; }
 
-    Cache &l2Partition(int index) { return *l2Partitions_[index]; }
-    std::size_t numL2Partitions() const
-    { return l2Partitions_.size(); }
-
   private:
+    /**
+     * One reference against the thread's L1 and the phase's L2
+     * partition, counted into `stats` (all but `refs`, which the
+     * caller adds). `coherent` is threads > 1: only then is the
+     * directory kept.
+     */
+    Tick serve(unsigned thread, const MemRef &ref, PhaseMemStats &stats,
+               CacheTags &l2, bool coherent);
+
     HierarchyConfig config_;
-    std::vector<std::unique_ptr<Cache>> l1s_;
-    std::vector<std::unique_ptr<Cache>> l2Partitions_;
+    std::vector<CacheTags> l1s_;
+    std::vector<CacheTags> l2Partitions_;
     PagedTable<std::uint32_t> directory_; ///< Line -> bit per thread L1.
     std::array<PhaseMemStats, numPhases> phaseStats_{};
 };

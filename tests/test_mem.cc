@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <unordered_set>
@@ -299,6 +301,294 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto &info) {
         return std::string(std::get<0>(info.param).name) + "_seed" +
                std::to_string(std::get<1>(info.param));
+    });
+
+/**
+ * MemoryHierarchy's replay as the figures were first produced with
+ * it, on ReferenceCache: the per-reference body and the per-thread
+ * interleave, with every phase lookup done per reference.
+ * MemoryHierarchy must match it in every PhaseMemStats field.
+ */
+class ReferenceHierarchy
+{
+  public:
+    explicit ReferenceHierarchy(HierarchyConfig config)
+        : config_(std::move(config))
+    {
+        for (unsigned t = 0; t < config_.threads; ++t)
+            l1s_.push_back(std::make_unique<ReferenceCache>(config_.l1));
+        for (const std::uint64_t bytes : config_.plan.partitionBytes) {
+            l2Partitions_.push_back(std::make_unique<ReferenceCache>(
+                CacheConfig{bytes, config_.l2Ways, 64}));
+        }
+    }
+
+    Tick
+    access(unsigned thread, Phase phase, const MemRef &ref)
+    {
+        PhaseMemStats &stats = phaseStats_[static_cast<int>(phase)];
+        ++stats.refs;
+
+        const std::uint64_t line = ref.addr >> 6;
+
+        if (ref.write && config_.threads > 1) {
+            const std::uint32_t others =
+                directory_.get(line) & ~(1u << thread);
+            if (others != 0) {
+                for (unsigned t = 0; t < config_.threads; ++t) {
+                    if ((others >> t) & 1u) {
+                        l1s_[t]->invalidate(ref.addr);
+                        ++stats.invalidations;
+                    }
+                }
+                directory_.at(line) = 1u << thread;
+            }
+        }
+
+        Tick latency = config_.l1Latency;
+        if (l1s_[thread]->access(ref.addr, ref.write, false)) {
+            ++stats.l1Hits;
+            stats.cycles += latency;
+            return latency;
+        }
+        if (config_.threads > 1)
+            directory_.at(line) |= 1u << thread;
+
+        ReferenceCache &l2 = *l2Partitions_[config_.plan.partitionOf[
+            static_cast<int>(phase)]];
+        latency += config_.l2Latency;
+        if (l2.access(ref.addr, ref.write, ref.kernel)) {
+            ++stats.l2Hits;
+            stats.cycles += latency;
+            return latency;
+        }
+
+        ++stats.l2Misses;
+        if (ref.kernel)
+            ++stats.kernelL2Misses;
+        else
+            ++stats.userL2Misses;
+        latency += config_.memLatency;
+        stats.cycles += latency;
+        return latency;
+    }
+
+    void
+    replayStep(const StepTrace &trace, int interleave_granularity)
+    {
+        const unsigned threads = config_.threads;
+        for (int p = 0; p < numPhases; ++p) {
+            const Phase phase = static_cast<Phase>(p);
+            const auto &refs = trace.phase[p];
+            if (refs.empty())
+                continue;
+
+            if (threads <= 1 || phaseIsSerial(phase)) {
+                for (const MemRef &ref : refs)
+                    access(0, phase, ref);
+                continue;
+            }
+
+            const std::size_t chunk =
+                (refs.size() + threads - 1) / threads;
+            std::vector<std::size_t> cursor(threads);
+            bool work_left = true;
+            while (work_left) {
+                work_left = false;
+                for (unsigned t = 0; t < threads; ++t) {
+                    const std::size_t begin = t * chunk;
+                    const std::size_t end =
+                        std::min(refs.size(), begin + chunk);
+                    if (begin >= end)
+                        continue;
+                    std::size_t &pos = cursor[t];
+                    const std::size_t stop = std::min(
+                        end - begin,
+                        pos + static_cast<std::size_t>(
+                                  interleave_granularity));
+                    for (; pos < stop; ++pos)
+                        access(t, phase, refs[begin + pos]);
+                    if (pos < end - begin)
+                        work_left = true;
+                }
+            }
+        }
+    }
+
+    const PhaseMemStats &phaseStats(Phase phase) const
+    { return phaseStats_[static_cast<int>(phase)]; }
+
+    void
+    resetStats()
+    {
+        for (PhaseMemStats &s : phaseStats_)
+            s.reset();
+    }
+
+  private:
+    HierarchyConfig config_;
+    std::vector<std::unique_ptr<ReferenceCache>> l1s_;
+    std::vector<std::unique_ptr<ReferenceCache>> l2Partitions_;
+    PagedTable<std::uint32_t> directory_;
+    std::array<PhaseMemStats, numPhases> phaseStats_{};
+};
+
+void
+expectSamePhaseStats(const MemoryHierarchy &got,
+                     const ReferenceHierarchy &want,
+                     const std::string &where)
+{
+    for (int p = 0; p < numPhases; ++p) {
+        const PhaseMemStats &g = got.phaseStats(static_cast<Phase>(p));
+        const PhaseMemStats &w = want.phaseStats(static_cast<Phase>(p));
+        EXPECT_EQ(g.refs, w.refs) << where << " phase " << p;
+        EXPECT_EQ(g.l1Hits, w.l1Hits) << where << " phase " << p;
+        EXPECT_EQ(g.l2Hits, w.l2Hits) << where << " phase " << p;
+        EXPECT_EQ(g.l2Misses, w.l2Misses) << where << " phase " << p;
+        EXPECT_EQ(g.kernelL2Misses, w.kernelL2Misses)
+            << where << " phase " << p;
+        EXPECT_EQ(g.userL2Misses, w.userL2Misses)
+            << where << " phase " << p;
+        EXPECT_EQ(g.invalidations, w.invalidations)
+            << where << " phase " << p;
+        EXPECT_EQ(g.cycles, w.cycles) << where << " phase " << p;
+    }
+}
+
+/**
+ * A seeded synthetic step. Each phase mixes a small shared region
+ * (L1 hits, and coherence traffic when written from several
+ * threads), a 512 KB region (L1 misses that hit L2), lines 9 MB
+ * apart (the same set in every L1 and L2 geometry under test, so
+ * they conflict and evict dirty lines even in a 9 MB L2) and kernel
+ * references.
+ */
+StepTrace
+syntheticStep(Rng &rng, std::size_t refs_per_phase)
+{
+    StepTrace trace;
+    for (int p = 0; p < numPhases; ++p) {
+        std::vector<MemRef> &refs = trace.phase[p];
+        refs.reserve(refs_per_phase);
+        for (std::size_t i = 0; i < refs_per_phase; ++i) {
+            std::uint64_t addr = 0;
+            bool kernel = false;
+            const std::uint64_t pick = rng.below(10);
+            if (pick < 4) {
+                addr = 0x1000'0000 + rng.below(64) * 64;
+            } else if (pick < 7) {
+                addr = 0x2000'0000 + rng.below(8192) * 64;
+            } else if (pick < 9) {
+                addr = 0x4000'0000 + rng.below(16) * 64 +
+                       rng.below(12) * (std::uint64_t{9} << 20);
+            } else {
+                addr = 0xc000'0000 + rng.below(4096) * 64;
+                kernel = true;
+            }
+            refs.push_back({addr + rng.below(64), 8, rng.chance(0.3),
+                            kernel});
+        }
+    }
+    return trace;
+}
+
+struct HierarchyCase
+{
+    unsigned threads;
+    const char *planName;
+    L2Plan (*plan)();
+    int granularity;
+};
+
+/** Names the case in test listings (the default dumps its bytes). */
+void
+PrintTo(const HierarchyCase &c, std::ostream *os)
+{
+    *os << c.threads << " threads, " << c.planName << ", granularity "
+        << c.granularity;
+}
+
+class HierarchyDifferential
+    : public ::testing::TestWithParam<HierarchyCase>
+{
+};
+
+TEST_P(HierarchyDifferential, MatchesReferenceModel)
+{
+    const HierarchyCase &c = GetParam();
+    HierarchyConfig config;
+    config.threads = c.threads;
+    config.plan = c.plan();
+    MemoryHierarchy mem(config);
+    ReferenceHierarchy reference(config);
+    Rng rng(c.threads * 131 + c.granularity);
+
+    for (int step = 0; step < 3; ++step) {
+        const StepTrace trace = syntheticStep(rng, 6000);
+        mem.replayStep(trace, c.granularity);
+        reference.replayStep(trace, c.granularity);
+        expectSamePhaseStats(mem, reference,
+                             "step " + std::to_string(step));
+        if (step == 0) {
+            // Warm-up boundary, as the figure sweeps do it.
+            mem.resetStats();
+            reference.resetStats();
+        }
+    }
+
+    // The public single-reference entry point serves the same way.
+    const StepTrace extra = syntheticStep(rng, 400);
+    for (int p = 0; p < numPhases; ++p) {
+        for (const MemRef &ref : extra.phase[p]) {
+            const unsigned t =
+                static_cast<unsigned>(rng.below(c.threads));
+            const Phase phase = static_cast<Phase>(p);
+            ASSERT_EQ(mem.access(t, phase, ref),
+                      reference.access(t, phase, ref));
+        }
+    }
+    expectSamePhaseStats(mem, reference, "access()");
+
+    // The traces must exercise every path being compared.
+    const PhaseMemStats total = mem.totalStats();
+    EXPECT_GT(total.l1Hits, 0u);
+    EXPECT_GT(total.l2Hits, 0u);
+    EXPECT_GT(total.kernelL2Misses, 0u);
+    EXPECT_GT(total.userL2Misses, 0u);
+    if (c.threads > 1) {
+        EXPECT_GT(total.invalidations, 0u);
+    }
+}
+
+L2Plan sharedL2_1MB() { return L2Plan::shared(1); }
+L2Plan sharedL2_9MB() { return L2Plan::shared(9); }
+L2Plan paperPlan() { return L2Plan::paperPartitioned(); }
+L2Plan dedicatedL2_1MB() { return L2Plan::dedicatedPerPhase(1); }
+
+std::vector<HierarchyCase>
+hierarchyCases()
+{
+    const std::pair<const char *, L2Plan (*)()> plans[] = {
+        {"shared1", sharedL2_1MB},
+        {"shared9_non_pow2_sets", sharedL2_9MB},
+        {"paperPartitioned", paperPlan},
+        {"dedicatedPerPhase1", dedicatedL2_1MB},
+    };
+    std::vector<HierarchyCase> cases;
+    for (unsigned threads : {1u, 2u, 4u, 8u})
+        for (const auto &[name, plan] : plans)
+            for (int granularity : {1, 64})
+                cases.push_back({threads, name, plan, granularity});
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configurations, HierarchyDifferential,
+    ::testing::ValuesIn(hierarchyCases()),
+    [](const auto &info) {
+        return "t" + std::to_string(info.param.threads) + "_" +
+               info.param.planName + "_g" +
+               std::to_string(info.param.granularity);
     });
 
 TEST(CacheTest, FullyAssociativeHasNoConflicts)

@@ -1,7 +1,8 @@
 /**
  * @file
- * Trajectory fingerprint tool: steps every benchmark scene at several
- * worker counts and prints one FNV-1a hash of the final dynamic
+ * Trajectory fingerprint tool: steps every benchmark scene at worker
+ * counts 0, 1, 2 and 3 (serial plus every lane count up to 4 cpus,
+ * none oversubscribed) and prints one FNV-1a hash of the final dynamic
  * state (body poses, velocities and sleep state, joint break
  * bookkeeping, cloth particles) per run, via the library's
  * worldStateHash (parallax/snapshot.hh).
@@ -17,6 +18,9 @@
  *
  * Run: ./build/tools/state_hash [steps] [scale] [--simd=BACKEND]
  *
+ * steps (default 300) must be a positive integer and scale (default
+ * 0.12) a finite number > 0; anything else exits with status 2.
+ *
  * --simd selects the kernel backend (scalar, the bitwise reference,
  * or native — SIMD; PAX_SIMD sets the default). The header line
  * names the backend actually running, since scalar and native
@@ -25,6 +29,9 @@
  * bitwise, against scalar.
  */
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -48,6 +55,44 @@ fold(std::uint64_t combined, std::uint64_t h)
         combined *= 0x100000001b3ull;
     }
     return combined;
+}
+
+/** Report a malformed argument and exit with status 2. */
+[[noreturn]] void
+rejectArg(const char *name, const char *value, const char *what)
+{
+    std::fprintf(stderr, "invalid %s value '%s' (expected %s)\n", name,
+                 value, what);
+    std::exit(2);
+}
+
+/** Parse all of `text` as a decimal int > 0. */
+bool
+parsePositiveInt(const char *text, int &out)
+{
+    if (*text < '0' || *text > '9')
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    const long v = std::strtol(text, &end, 10);
+    if (*end != '\0' || errno != 0 || v <= 0 || v > INT_MAX)
+        return false;
+    out = static_cast<int>(v);
+    return true;
+}
+
+/** Parse all of `text` as a finite double > 0. */
+bool
+parsePositiveFinite(const char *text, double &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno != 0 ||
+        !std::isfinite(v) || v <= 0)
+        return false;
+    out = v;
+    return true;
 }
 
 } // namespace
@@ -78,9 +123,13 @@ main(int argc, char **argv)
         }
     }
     argc = out;
-    const int steps = argc > 1 ? std::atoi(argv[1]) : 300;
-    const double scale = argc > 2 ? std::atof(argv[2]) : 0.12;
-    const unsigned worker_counts[] = {0, 1, 2, 8};
+    int steps = 300;
+    if (argc > 1 && !parsePositiveInt(argv[1], steps))
+        rejectArg("steps", argv[1], "a positive integer");
+    double scale = 0.12;
+    if (argc > 2 && !parsePositiveFinite(argv[2], scale))
+        rejectArg("scale", argv[2], "a finite number > 0");
+    const unsigned worker_counts[] = {0, 1, 2, 3};
 
     // Name the backend actually running (native silently degrades to
     // scalar on hosts without SIMD support) so recorded fingerprints
