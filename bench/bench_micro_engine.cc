@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "cpu/ooo_core.hh"
 #include "isa/kernels.hh"
 #include "mem/hierarchy.hh"
@@ -96,26 +98,45 @@ BM_CacheAccess(benchmark::State &state)
 }
 BENCHMARK(BM_CacheAccess);
 
+/** A Mix scene at scale 0.3 after 3 steps, and a trace generator
+ *  for `threads` worker threads. */
+struct MixTrace
+{
+    std::unique_ptr<World> world;
+    TraceGenerator generator;
+
+    explicit MixTrace(unsigned threads)
+        : world(buildBenchmark(BenchmarkId::Mix, WorldConfig(), 0.3)),
+          generator([threads] {
+              TraceOptions options;
+              options.threads = threads;
+              options.kernelBytesPerThread =
+                  kernelFootprintForThreads(threads);
+              return options;
+          }())
+    {
+        for (int i = 0; i < 3; ++i)
+            world->step();
+    }
+};
+
 /**
  * Cache-replay rate of the memory hierarchy: one warm step of a small
- * Mix scene replayed through a shared 4 MB L2 by the 1-thread and the
- * 4-thread model (items = references).
+ * Mix scene replayed by the 1-thread and the 4-thread model through a
+ * shared L2 of 1 MB (the L2 pass's tag store fits the host caches) or
+ * 32 MB (it does not, so the pass's set prefetch shows). Items =
+ * references.
  */
 void
 BM_HierarchyReplay(benchmark::State &state)
 {
     const unsigned threads = static_cast<unsigned>(state.range(0));
-    auto world = buildBenchmark(BenchmarkId::Mix, WorldConfig(), 0.3);
-    for (int i = 0; i < 3; ++i)
-        world->step();
-    TraceOptions options;
-    options.threads = threads;
-    options.kernelBytesPerThread = kernelFootprintForThreads(threads);
-    const StepTrace trace = TraceGenerator(options).generate(*world);
+    const MixTrace mix(threads);
+    const StepTrace trace = mix.generator.generate(*mix.world);
 
     HierarchyConfig config;
     config.threads = threads;
-    config.plan = L2Plan::shared(4);
+    config.plan = L2Plan::shared(static_cast<int>(state.range(1)));
     MemoryHierarchy hierarchy(config);
     hierarchy.replayStep(trace); // Warm the caches.
     for (auto _ : state)
@@ -124,8 +145,32 @@ BM_HierarchyReplay(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(trace.totalRefs()));
 }
-BENCHMARK(BM_HierarchyReplay)->Arg(1)->Arg(4)->Unit(
-    benchmark::kMillisecond);
+BENCHMARK(BM_HierarchyReplay)
+    ->ArgNames({"threads", "l2_mb"})
+    ->ArgsProduct({{1, 4}, {1, 32}})
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * Trace generation rate: the references of one Mix step (scale 0.3)
+ * for the 1-thread and the 4-thread model. Items = references.
+ */
+void
+BM_TraceGenerate(benchmark::State &state)
+{
+    const MixTrace mix(static_cast<unsigned>(state.range(0)));
+    std::int64_t refs = 0;
+    for (auto _ : state) {
+        StepTrace trace = mix.generator.generate(*mix.world);
+        benchmark::DoNotOptimize(trace);
+        refs += static_cast<std::int64_t>(trace.totalRefs());
+    }
+    state.SetItemsProcessed(refs);
+}
+BENCHMARK(BM_TraceGenerate)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_OooCoreKernel(benchmark::State &state)

@@ -1,5 +1,6 @@
 #include "cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "sim/logging.hh"
@@ -27,12 +28,11 @@ CacheTags::CacheTags(CacheConfig config) : config_(config)
         fatal("cache needs at least one way");
     if (static_cast<std::uint64_t>(config_.ways) > total_lines)
         config_.ways = static_cast<int>(total_lines);
-    numSets_ = static_cast<int>(total_lines / config_.ways);
-    if (numSets_ == 0)
-        numSets_ = 1;
-    pow2Sets_ = std::has_single_bit(static_cast<unsigned>(numSets_));
-    setMask_ = static_cast<std::uint64_t>(numSets_) - 1;
-    lines_.resize(static_cast<std::size_t>(numSets_) * config_.ways);
+    sets_.numSets = std::max<std::uint64_t>(1, total_lines / config_.ways);
+    sets_.setMask = sets_.numSets - 1;
+    sets_.ways = config_.ways;
+    sets_.pow2 = std::has_single_bit(sets_.numSets);
+    lines_.resize(sets_.numSets * config_.ways);
 }
 
 bool
@@ -71,7 +71,7 @@ bool
 CacheTags::probe(std::uint64_t addr) const
 {
     const std::uint64_t line = lineIndex(addr);
-    const Line *base = &lines_[setBase(line)];
+    const Line *base = &lines_[sets_(line)];
     for (int w = 0; w < config_.ways; ++w) {
         if (base[w].holds(line))
             return true;
@@ -83,7 +83,7 @@ bool
 CacheTags::invalidate(std::uint64_t addr)
 {
     const std::uint64_t line = lineIndex(addr);
-    Line *base = &lines_[setBase(line)];
+    Line *base = &lines_[sets_(line)];
     for (int w = 0; w < config_.ways; ++w) {
         Line &entry = base[w];
         if (entry.holds(line)) {

@@ -22,6 +22,10 @@
  * index is a shift (line sizes are powers of two) and the set index a
  * mask when the set count is a power of two, an exact modulo
  * otherwise (a 9 MB 4-way L2 has 36,864 sets).
+ *
+ * The lookup/fill routine lives in CacheTags::Pass, which holds the
+ * geometry and the LRU clock in locals for a replay loop;
+ * accessLine() is a one-reference pass.
  */
 
 #ifndef PARALLAX_MEM_CACHE_HH
@@ -92,6 +96,8 @@ struct LineAccess
 class CacheTags
 {
   public:
+    class Pass;
+
     explicit CacheTags(CacheConfig config);
 
     /** Line index of a byte address. */
@@ -117,7 +123,7 @@ class CacheTags
 
     const CacheConfig &config() const { return config_; }
 
-    int numSets() const { return numSets_; }
+    int numSets() const { return static_cast<int>(sets_.numSets); }
 
     /** Number of currently valid lines (footprint inspection). */
     std::uint64_t residentLines() const;
@@ -137,59 +143,115 @@ class CacheTags
         { return (word & ~dirtyBit) == (line << 2 | validBit); }
     };
 
-    /** Index in lines_ of the first way of the set holding `line`. */
-    std::uint64_t
-    setBase(std::uint64_t line) const
+    /** Where a line's set starts in lines_. */
+    struct SetIndex
     {
-        const std::uint64_t set =
-            pow2Sets_ ? line & setMask_ : line % numSets_;
-        return set * config_.ways;
-    }
+        std::uint64_t numSets = 1;
+        std::uint64_t setMask = 0; ///< numSets - 1 when pow2.
+        int ways = 1;
+        bool pow2 = true;
+
+        /** Index of the first way of the set holding `line`. */
+        std::uint64_t
+        operator()(std::uint64_t line) const
+        {
+            const std::uint64_t set =
+                pow2 ? line & setMask : line % numSets;
+            return set * ways;
+        }
+    };
 
     CacheConfig config_;
-    int numSets_;
+    SetIndex sets_;
     int lineShift_ = 0;
-    bool pow2Sets_ = false;
-    std::uint64_t setMask_ = 0; ///< numSets_ - 1 when pow2Sets_.
-    std::vector<Line> lines_;   ///< numSets_ x ways, row-major.
+    std::vector<Line> lines_; ///< numSets x ways, row-major.
     std::uint64_t useCounter_ = 0;
+};
+
+/**
+ * CacheTags' lookup and fill with the geometry and the LRU clock in
+ * locals: a replay loop that runs its references through one Pass
+ * reloads no tag-store field per reference (a store into a line
+ * cannot alias the clock). The clock goes back into the tag store
+ * when the pass ends. While a Pass is live, its tag store takes no
+ * other accessLine() or Pass; probe(), invalidate() and flush() keep
+ * working, since they do not touch the clock.
+ */
+class CacheTags::Pass
+{
+  public:
+    explicit Pass(CacheTags &tags)
+        : tags_(tags), lines_(tags.lines_.data()), sets_(tags.sets_),
+          clock_(tags.useCounter_)
+    {
+    }
+
+    ~Pass() { tags_.useCounter_ = clock_; }
+
+    Pass(const Pass &) = delete;
+    Pass &operator=(const Pass &) = delete;
+
+    /**
+     * Look a line up and, on a miss, fill it into the victim way.
+     *
+     * @param line Line index (lineIndex() of the address).
+     * @param write Marks the line dirty.
+     */
+    [[gnu::always_inline]] LineAccess
+    access(std::uint64_t line, bool write)
+    {
+        const std::uint64_t dirty = write ? dirtyBit : 0;
+        Line *base = lines_ + sets_(line);
+        const int ways = sets_.ways;
+
+        // Lookup. A valid line is held by at most one way of its set,
+        // so the scan needs no early exit: it selects the matching way
+        // without a data-dependent branch.
+        int hit = -1;
+        for (int w = 0; w < ways; ++w)
+            hit = base[w].holds(line) ? w : hit;
+        if (hit >= 0) {
+            base[hit].lastUse = ++clock_;
+            base[hit].word |= dirty;
+            return {true, false};
+        }
+
+        // Miss: fill into the victim way (rule on the class comment).
+        Line *victim = &base[0];
+        for (int w = 1; w < ways; ++w) {
+            Line &entry = base[w];
+            if ((entry.word & validBit) == 0) {
+                victim = &entry;
+                break;
+            }
+            if (entry.lastUse < victim->lastUse)
+                victim = &entry;
+        }
+        const bool writeback = (victim->word & (validBit | dirtyBit)) ==
+                               (validBit | dirtyBit);
+        victim->word = line << 2 | dirty | validBit;
+        victim->lastUse = ++clock_;
+        return {false, writeback};
+    }
+
+    /** Start loading the set of `line` into the host cache. */
+    void
+    prefetch(std::uint64_t line) const
+    {
+        __builtin_prefetch(lines_ + sets_(line));
+    }
+
+  private:
+    CacheTags &tags_;
+    Line *lines_;
+    SetIndex sets_;
+    std::uint64_t clock_;
 };
 
 inline LineAccess
 CacheTags::accessLine(std::uint64_t line, bool write)
 {
-    const std::uint64_t dirty = write ? dirtyBit : 0;
-    Line *base = &lines_[setBase(line)];
-    const int ways = config_.ways;
-
-    // Lookup. A valid line is held by at most one way of its set, so
-    // the scan needs no early exit: it selects the matching way
-    // without a data-dependent branch.
-    int hit = -1;
-    for (int w = 0; w < ways; ++w)
-        hit = base[w].holds(line) ? w : hit;
-    if (hit >= 0) {
-        base[hit].lastUse = ++useCounter_;
-        base[hit].word |= dirty;
-        return {true, false};
-    }
-
-    // Miss: fill into the victim way (rule on the class comment).
-    Line *victim = &base[0];
-    for (int w = 1; w < ways; ++w) {
-        Line &entry = base[w];
-        if ((entry.word & validBit) == 0) {
-            victim = &entry;
-            break;
-        }
-        if (entry.lastUse < victim->lastUse)
-            victim = &entry;
-    }
-    const bool writeback =
-        (victim->word & (validBit | dirtyBit)) == (validBit | dirtyBit);
-    victim->word = line << 2 | dirty | validBit;
-    victim->lastUse = ++useCounter_;
-    return {false, writeback};
+    return Pass(*this).access(line, write);
 }
 
 /**

@@ -44,6 +44,31 @@ L2Plan::dedicatedPerPhase(int mb)
     return plan;
 }
 
+namespace
+{
+
+/** The L2 pass loads a set this many misses ahead of its lookup. */
+constexpr std::size_t prefetchAhead = 8;
+
+/** Capacity of the L1-miss buffer between the passes (32 KB). */
+constexpr std::size_t missBlock = 4096;
+
+} // namespace
+
+PhaseMemStats &
+PhaseMemStats::operator+=(const PhaseMemStats &other)
+{
+    refs += other.refs;
+    l1Hits += other.l1Hits;
+    l2Hits += other.l2Hits;
+    l2Misses += other.l2Misses;
+    kernelL2Misses += other.kernelL2Misses;
+    userL2Misses += other.userL2Misses;
+    invalidations += other.invalidations;
+    cycles += other.cycles;
+    return *this;
+}
+
 MemoryHierarchy::MemoryHierarchy(HierarchyConfig config)
     : config_(std::move(config))
 {
@@ -51,6 +76,9 @@ MemoryHierarchy::MemoryHierarchy(HierarchyConfig config)
         fatal("hierarchy needs at least one thread");
     if (config_.threads > 32)
         fatal("directory bitmask supports at most 32 threads");
+    if (config_.l1.lineBytes != static_cast<int>(MemRef::lineBytes))
+        fatal("L1 line size %d: trace references are %d-byte lines",
+              config_.l1.lineBytes, static_cast<int>(MemRef::lineBytes));
     l1s_.assign(config_.threads, CacheTags(config_.l1));
     for (int p = 0; p < numPhases; ++p) {
         const int part = config_.plan.partitionOf[p];
@@ -61,71 +89,138 @@ MemoryHierarchy::MemoryHierarchy(HierarchyConfig config)
                   part);
         }
     }
-    for (const std::uint64_t bytes : config_.plan.partitionBytes)
-        l2Partitions_.emplace_back(CacheConfig{bytes, config_.l2Ways, 64});
+    for (const std::uint64_t bytes : config_.plan.partitionBytes) {
+        l2Partitions_.emplace_back(CacheConfig{
+            bytes, config_.l2Ways, static_cast<int>(MemRef::lineBytes)});
+    }
+    l1Misses_.resize(missBlock);
 }
 
-inline Tick
-MemoryHierarchy::serve(unsigned thread, const MemRef &ref,
-                       PhaseMemStats &stats, CacheTags &l2,
-                       bool coherent)
+[[gnu::always_inline]] inline bool
+MemoryHierarchy::l1Level(unsigned thread, CacheTags::Pass &l1,
+                         MemRef ref, bool coherent,
+                         std::uint64_t &invalidations)
 {
-    const std::uint64_t line = ref.addr >> 6;
+    const std::uint64_t line = ref.line();
 
     // Coherence: a write invalidates every other L1's copy (MOESI
     // M-state acquisition through the directory).
-    if (coherent && ref.write) {
+    if (coherent && ref.write()) {
         const std::uint32_t others =
             directory_.get(line) & ~(1u << thread);
-        if (others != 0) {
-            for (std::uint32_t m = others; m != 0; m &= m - 1)
-                l1s_[std::countr_zero(m)].invalidate(ref.addr);
-            stats.invalidations += std::popcount(others);
-            directory_.at(line) = 1u << thread;
-        }
+        if (others != 0) [[unlikely]]
+            invalidations += takeOwnership(thread, line, others);
     }
 
-    // L1 lookup.
-    CacheTags &l1 = l1s_[thread];
-    Tick latency = config_.l1Latency;
-    if (l1.accessLine(l1.lineIndex(ref.addr), ref.write).hit) {
-        ++stats.l1Hits;
-        stats.cycles += latency;
-        return latency;
-    }
+    if (l1.access(line, ref.write()).hit)
+        return true;
     if (coherent)
         directory_.at(line) |= 1u << thread;
+    return false;
+}
 
-    // L2 partition lookup.
-    latency += config_.l2Latency;
-    if (l2.accessLine(l2.lineIndex(ref.addr), ref.write).hit) {
-        ++stats.l2Hits;
-        stats.cycles += latency;
-        return latency;
+[[gnu::noinline]] std::uint64_t
+MemoryHierarchy::takeOwnership(unsigned thread, std::uint64_t line,
+                               std::uint32_t others)
+{
+    std::uint64_t count = 0;
+    for (std::uint32_t m = others; m != 0; m &= m - 1, ++count)
+        l1s_[std::countr_zero(m)].invalidate(line << MemRef::lineShift);
+    directory_.at(line) = 1u << thread;
+    return count;
+}
+
+[[gnu::always_inline]] inline MemRef *
+MemoryHierarchy::l1Run(unsigned thread, const MemRef *first,
+                       const MemRef *last, MemRef *out, bool coherent,
+                       CacheTags &l2, PhaseMemStats &counts)
+{
+    MemRef *const buffer = l1Misses_.data();
+    while (first != last) {
+        if (out == buffer + missBlock) {
+            l2Run(l2, out, counts);
+            out = buffer;
+        }
+        // A reference appends at most one miss, so a run no longer
+        // than the room left cannot overflow the buffer.
+        const MemRef *const stop =
+            first + std::min<std::size_t>(
+                        static_cast<std::size_t>(buffer + missBlock - out),
+                        static_cast<std::size_t>(last - first));
+        CacheTags::Pass l1(l1s_[thread]);
+        for (; first != stop; ++first) {
+            // Every slot is written; it is kept only if the ref missed.
+            const MemRef ref = *first;
+            *out = ref;
+            out += !l1Level(thread, l1, ref, coherent,
+                            counts.invalidations);
+        }
     }
+    return out;
+}
 
+void
+MemoryHierarchy::l2Run(CacheTags &l2, const MemRef *end,
+                       PhaseMemStats &counts)
+{
+    CacheTags::Pass pass(l2);
+    const MemRef *const buffer = l1Misses_.data();
+    const std::size_t misses = static_cast<std::size_t>(end - buffer);
+    for (std::size_t i = 0; i < misses; ++i) {
+        pass.prefetch(
+            buffer[std::min(i + prefetchAhead, misses - 1)].line());
+        l2Level(pass, buffer[i], counts);
+    }
+}
+
+[[gnu::always_inline]] inline void
+MemoryHierarchy::l2Level(CacheTags::Pass &l2, MemRef ref,
+                         PhaseMemStats &counts)
+{
+    if (l2.access(ref.line(), ref.write()).hit) {
+        ++counts.l2Hits;
+        return;
+    }
     // Main memory.
-    ++stats.l2Misses;
-    if (ref.kernel)
-        ++stats.kernelL2Misses;
+    if (ref.kernel())
+        ++counts.kernelL2Misses;
     else
-        ++stats.userL2Misses;
-    latency += config_.memLatency;
-    stats.cycles += latency;
-    return latency;
+        ++counts.userL2Misses;
 }
 
 Tick
-MemoryHierarchy::access(unsigned thread, Phase phase,
-                        const MemRef &ref)
+MemoryHierarchy::settle(PhaseMemStats counts, PhaseMemStats &stats) const
+{
+    counts.l2Misses = counts.kernelL2Misses + counts.userL2Misses;
+    counts.cycles =
+        counts.l1Hits * config_.l1Latency +
+        (counts.refs - counts.l1Hits) *
+            (config_.l1Latency + config_.l2Latency) +
+        counts.l2Misses * config_.memLatency;
+    stats += counts;
+    return counts.cycles;
+}
+
+Tick
+MemoryHierarchy::access(unsigned thread, Phase phase, MemRef ref)
 {
     parallax_assert(thread < l1s_.size());
     const int p = static_cast<int>(phase);
-    PhaseMemStats &stats = phaseStats_[p];
-    ++stats.refs;
-    return serve(thread, ref, stats,
-                 l2Partitions_[config_.plan.partitionOf[p]],
-                 config_.threads > 1);
+    PhaseMemStats counts;
+    counts.refs = 1;
+    bool hit;
+    {
+        CacheTags::Pass l1(l1s_[thread]);
+        hit = l1Level(thread, l1, ref, config_.threads > 1,
+                      counts.invalidations);
+    }
+    if (hit) {
+        counts.l1Hits = 1;
+    } else {
+        CacheTags::Pass l2(l2For(p));
+        l2Level(l2, ref, counts);
+    }
+    return settle(counts, phaseStats_[p]);
 }
 
 void
@@ -133,47 +228,60 @@ MemoryHierarchy::replayStep(const StepTrace &trace,
                             int interleave_granularity)
 {
     const unsigned threads = config_.threads;
-    const bool coherent = threads > 1;
     for (int p = 0; p < numPhases; ++p) {
         const auto &refs = trace.phase[p];
         if (refs.empty())
             continue;
-        PhaseMemStats &stats = phaseStats_[p];
-        CacheTags &l2 = l2Partitions_[config_.plan.partitionOf[p]];
-        stats.refs += refs.size();
+        PhaseMemStats counts;
+        counts.refs = refs.size();
+        CacheTags &l2 = l2For(p);
 
-        if (!coherent || phaseIsSerial(static_cast<Phase>(p))) {
-            for (const MemRef &ref : refs)
-                serve(0, ref, stats, l2, coherent);
-            continue;
-        }
-
-        // Parallel phases: the stream was generated in per-thread
-        // chunks; interleave them in granules to model concurrent
-        // execution against the shared L2.
-        const std::size_t chunk =
-            (refs.size() + threads - 1) / threads;
-        std::vector<std::size_t> cursor(threads);
-        bool work_left = true;
-        while (work_left) {
-            work_left = false;
-            for (unsigned t = 0; t < threads; ++t) {
-                const std::size_t begin = t * chunk;
-                const std::size_t end =
-                    std::min(refs.size(), begin + chunk);
-                if (begin >= end)
-                    continue;
-                std::size_t &pos = cursor[t];
-                const std::size_t stop = std::min(
-                    end - begin,
-                    pos + static_cast<std::size_t>(
-                              interleave_granularity));
-                for (; pos < stop; ++pos)
-                    serve(t, refs[begin + pos], stats, l2, true);
-                if (pos < end - begin)
-                    work_left = true;
+        // L1 pass: every reference in replay order, appending the
+        // misses to l1Misses_; the L2 pass drains it whenever it
+        // fills and at the end of the phase. The literal `coherent`
+        // arguments give each call a loop without the other's
+        // branches.
+        MemRef *end = l1Misses_.data();
+        const MemRef *const base = refs.data();
+        if (threads == 1) {
+            end = l1Run(0, base, base + refs.size(), end, false, l2,
+                        counts);
+        } else if (phaseIsSerial(static_cast<Phase>(p))) {
+            end = l1Run(0, base, base + refs.size(), end, true, l2,
+                        counts);
+        } else {
+            // Parallel phases: the stream was generated in per-thread
+            // chunks; interleave them in granules to model concurrent
+            // execution.
+            const std::size_t chunk =
+                (refs.size() + threads - 1) / threads;
+            std::vector<std::size_t> cursor(threads);
+            bool work_left = true;
+            while (work_left) {
+                work_left = false;
+                for (unsigned t = 0; t < threads; ++t) {
+                    const std::size_t begin = t * chunk;
+                    const std::size_t end_t =
+                        std::min(refs.size(), begin + chunk);
+                    if (begin >= end_t)
+                        continue;
+                    std::size_t &pos = cursor[t];
+                    const std::size_t stop = std::min(
+                        end_t - begin,
+                        pos + static_cast<std::size_t>(
+                                  interleave_granularity));
+                    end = l1Run(t, base + begin + pos, base + begin + stop,
+                                end, true, l2, counts);
+                    pos = stop;
+                    if (pos < end_t - begin)
+                        work_left = true;
+                }
             }
         }
+        l2Run(l2, end, counts);
+        counts.l1Hits = counts.refs - counts.l2Hits -
+                        counts.kernelL2Misses - counts.userL2Misses;
+        settle(counts, phaseStats_[p]);
     }
 }
 
@@ -181,16 +289,8 @@ PhaseMemStats
 MemoryHierarchy::totalStats() const
 {
     PhaseMemStats total;
-    for (const PhaseMemStats &s : phaseStats_) {
-        total.refs += s.refs;
-        total.l1Hits += s.l1Hits;
-        total.l2Hits += s.l2Hits;
-        total.l2Misses += s.l2Misses;
-        total.kernelL2Misses += s.kernelL2Misses;
-        total.userL2Misses += s.userL2Misses;
-        total.invalidations += s.invalidations;
-        total.cycles += s.cycles;
-    }
+    for (const PhaseMemStats &s : phaseStats_)
+        total += s;
     return total;
 }
 

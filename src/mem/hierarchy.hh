@@ -16,9 +16,23 @@
  *
  * The hierarchy's only output is its per-phase PhaseMemStats, so its
  * caches are bare tag stores (CacheTags: no per-cache counters, no
- * first-touch history). replayStep resolves a phase's stats, L2
- * partition and thread model once per phase and then runs the same
- * per-reference routine as access().
+ * first-touch history). References are MemRef line records, and the
+ * L1s take only 64-byte lines, the trace's granularity.
+ *
+ * replayStep runs each phase in two passes. The L1 pass walks the
+ * phase's references in replay order (serial, or the threads' chunks
+ * interleaved in granules), keeps the directory and the L1s, and
+ * appends the references that miss their L1 to a 4096-record buffer.
+ * The L2 pass runs the buffer through the phase's partition whenever
+ * it fills and at the end of the phase, prefetching each set a few
+ * misses ahead; a buffer that small stays in the host's caches. The
+ * split is exact: no L1 or directory outcome reads the L2 (no
+ * inclusion, no back-invalidation), the L2 sees the same misses in
+ * the same order, and no dirty bit reaches PhaseMemStats; a phase's
+ * cycles are the integer sum of its hit and miss counts times their
+ * latencies. Each level is one always-inlined routine holding its
+ * cache's LRU clock in a local (CacheTags::Pass); access() runs the
+ * two back to back.
  */
 
 #ifndef PARALLAX_MEM_HIERARCHY_HH
@@ -89,6 +103,8 @@ struct PhaseMemStats
     {
         *this = PhaseMemStats();
     }
+
+    PhaseMemStats &operator+=(const PhaseMemStats &other);
 };
 
 /** The modelled memory system. */
@@ -101,7 +117,7 @@ class MemoryHierarchy
      * Perform one reference from a thread within a phase.
      * @return Latency in cycles of the serviced access.
      */
-    Tick access(unsigned thread, Phase phase, const MemRef &ref);
+    Tick access(unsigned thread, Phase phase, MemRef ref);
 
     /** Replay one step's trace, interleaving thread chunks. */
     void replayStep(const StepTrace &trace,
@@ -123,19 +139,57 @@ class MemoryHierarchy
 
   private:
     /**
-     * One reference against the thread's L1 and the phase's L2
-     * partition, counted into `stats` (all but `refs`, which the
-     * caller adds). `coherent` is threads > 1: only then is the
-     * directory kept.
+     * The L1 level of one reference from `thread`, whose L1 is open
+     * in `l1`: coherence, then the L1 lookup. Counts the
+     * invalidations; true on an L1 hit. `coherent` is threads > 1:
+     * only then is the directory kept.
      */
-    Tick serve(unsigned thread, const MemRef &ref, PhaseMemStats &stats,
-               CacheTags &l2, bool coherent);
+    bool l1Level(unsigned thread, CacheTags::Pass &l1, MemRef ref,
+                 bool coherent, std::uint64_t &invalidations);
+
+    /**
+     * The L1 pass over `thread`'s references [first, last): l1Level
+     * on each, appending the misses to l1Misses_ at `out` and
+     * draining it through l2Run into `l2` whenever it fills.
+     * @return The end of the misses still pending.
+     */
+    MemRef *l1Run(unsigned thread, const MemRef *first,
+                  const MemRef *last, MemRef *out, bool coherent,
+                  CacheTags &l2, PhaseMemStats &counts);
+
+    /** The L2 pass: l2Level on the pending misses [l1Misses_, end). */
+    void l2Run(CacheTags &l2, const MemRef *end, PhaseMemStats &counts);
+
+    /**
+     * A write by `thread` to `line`, which the L1s in the mask
+     * `others` share: invalidate their copies and make `thread` the
+     * line's only sharer. @return The invalidations.
+     */
+    std::uint64_t takeOwnership(unsigned thread, std::uint64_t line,
+                                std::uint32_t others);
+
+    /**
+     * The L2 level of one L1 miss against the partition open in
+     * `l2`. Counts `l2Hits` and the L2 misses into `counts`.
+     */
+    static void l2Level(CacheTags::Pass &l2, MemRef ref,
+                        PhaseMemStats &counts);
+
+    /**
+     * Charge counted references their cycles and add them to
+     * `stats`. @return The cycles charged.
+     */
+    Tick settle(PhaseMemStats counts, PhaseMemStats &stats) const;
+
+    CacheTags &l2For(int phase)
+    { return l2Partitions_[config_.plan.partitionOf[phase]]; }
 
     HierarchyConfig config_;
     std::vector<CacheTags> l1s_;
     std::vector<CacheTags> l2Partitions_;
     PagedTable<std::uint32_t> directory_; ///< Line -> bit per thread L1.
     std::array<PhaseMemStats, numPhases> phaseStats_{};
+    std::vector<MemRef> l1Misses_; ///< L1 misses awaiting the L2 pass.
 };
 
 } // namespace parallax

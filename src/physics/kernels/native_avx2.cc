@@ -41,7 +41,11 @@ struct FOpsAvx2 {
     }
     static R gather(const float *base, I i)
     {
-        return _mm256_i32gather_ps(base, i, 4);
+        // Masked form, all lanes on: same instruction, no undefined
+        // source for gcc 12 to report (GCC PR 105593).
+        return _mm256_mask_i32gather_ps(
+            _mm256_setzero_ps(), base, i,
+            _mm256_castsi256_ps(_mm256_set1_epi32(-1)), 4);
     }
     static void scatter(float *base, I i, M m, R v)
     {

@@ -40,7 +40,10 @@ struct FOpsAvx512 {
     }
     static R gather(const float *base, I i)
     {
-        return _mm512_i32gather_ps(i, base, 4);
+        // Masked form, all lanes on: same instruction, no undefined
+        // source for gcc 12 to report (GCC PR 105593).
+        return _mm512_mask_i32gather_ps(_mm512_setzero_ps(),
+                                        __mmask16{0xffff}, i, base, 4);
     }
     static void scatter(float *base, I i, M m, R v)
     {
@@ -52,8 +55,16 @@ struct FOpsAvx512 {
     static R add(R a, R b) { return _mm512_add_ps(a, b); }
     static R sub(R a, R b) { return _mm512_sub_ps(a, b); }
     static R mul(R a, R b) { return _mm512_mul_ps(a, b); }
-    static R min(R a, R b) { return _mm512_min_ps(a, b); }
-    static R max(R a, R b) { return _mm512_max_ps(a, b); }
+    // min/max: zero-masked forms, all lanes on, for the same reason
+    // as gather.
+    static R min(R a, R b)
+    {
+        return _mm512_maskz_min_ps(__mmask16{0xffff}, a, b);
+    }
+    static R max(R a, R b)
+    {
+        return _mm512_maskz_max_ps(__mmask16{0xffff}, a, b);
+    }
     static R fmadd(R a, R b, R c)
     {
         return _mm512_fmadd_ps(a, b, c);

@@ -271,7 +271,12 @@ struct PackAvx2
     {
         const __m128i i = _mm_loadu_si128(
             reinterpret_cast<const __m128i *>(idx));
-        return {_mm256_i32gather_pd(base, i, 8)};
+        // The masked form with a zero source and an all-ones mask is
+        // the same instruction; the unmasked one passes an undefined
+        // source that gcc 12 reports as uninitialized (GCC PR 105593).
+        return {_mm256_mask_i32gather_pd(
+            _mm256_setzero_pd(), base, i,
+            _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8)};
     }
 
     void store(double *p) const { _mm256_storeu_pd(p, v); }

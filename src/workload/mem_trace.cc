@@ -29,7 +29,7 @@ jointBytes(JointType type)
 namespace
 {
 
-constexpr std::uint64_t lineBytes = 64;
+constexpr std::uint64_t lineBytes = MemRef::lineBytes;
 
 /** Touch every cache line of a record. */
 void
@@ -38,11 +38,8 @@ touch(std::vector<MemRef> &out, std::uint64_t addr,
 {
     const std::uint64_t first = addr / lineBytes;
     const std::uint64_t last = (addr + bytes - 1) / lineBytes;
-    for (std::uint64_t line = first; line <= last; ++line) {
-        out.push_back(MemRef{line * lineBytes,
-                             static_cast<std::uint16_t>(lineBytes),
-                             write, kernel});
-    }
+    for (std::uint64_t line = first; line <= last; ++line)
+        out.push_back(MemRef::fromLine(line, write, kernel));
 }
 
 /** Touch only the first portion of a record (hot fields). */
@@ -410,8 +407,8 @@ TraceGenerator::genKernelRefs(std::vector<MemRef> &out,
 {
     for (std::uint64_t offset = 0; offset < bytes;
          offset += lineBytes) {
-        out.push_back(MemRef{AddressMap::kernel(thread, offset),
-                             lineBytes, (offset % 256) == 0, true});
+        out.push_back(MemRef(AddressMap::kernel(thread, offset),
+                             (offset % 256) == 0, true));
     }
 }
 

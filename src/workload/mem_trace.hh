@@ -10,6 +10,10 @@
  * phase touches those records in the order the engine actually
  * processes them. Footprints, reuse distances and inter-phase
  * eviction behaviour therefore track the real workload.
+ *
+ * A reference is a MemRef, one 8-byte word per 64-byte line touched
+ * (a record spanning three lines emits three), so a step's trace
+ * costs 8 bytes per reference.
  */
 
 #ifndef PARALLAX_WORKLOAD_MEM_TRACE_HH
@@ -25,13 +29,47 @@
 namespace parallax
 {
 
-/** One memory reference. */
-struct MemRef
+/**
+ * One memory reference, line-granular: the modelled caches have
+ * 64-byte lines and every reference touches one whole line, so a
+ * record is one 8-byte word `line << 2 | write << 1 | kernel`.
+ */
+class MemRef
 {
-    std::uint64_t addr;
-    std::uint16_t size;
-    bool write;
-    bool kernel; // Operating-system reference (Figure 6b).
+  public:
+    static constexpr int lineShift = 6;
+    static constexpr std::uint64_t lineBytes = std::uint64_t{1}
+                                               << lineShift;
+
+    MemRef() = default;
+
+    /** The reference to the line holding byte address `addr`. */
+    constexpr MemRef(std::uint64_t addr, bool write, bool kernel)
+        : MemRef(fromLine(addr >> lineShift, write, kernel))
+    {
+    }
+
+    static constexpr MemRef
+    fromLine(std::uint64_t line, bool write, bool kernel)
+    {
+        MemRef ref;
+        ref.word_ = line << 2 | std::uint64_t{write} << 1 |
+                    std::uint64_t{kernel};
+        return ref;
+    }
+
+    /** Line index (byte address / lineBytes). */
+    constexpr std::uint64_t line() const { return word_ >> 2; }
+    /** Address of the line's first byte. */
+    constexpr std::uint64_t addr() const { return line() << lineShift; }
+    constexpr bool write() const { return (word_ >> 1) & 1; }
+    /** Operating-system reference (Figure 6b). */
+    constexpr bool kernel() const { return word_ & 1; }
+
+    friend constexpr bool operator==(MemRef, MemRef) = default;
+
+  private:
+    std::uint64_t word_ = 0;
 };
 
 /** Paper record sizes (section 6.1). */

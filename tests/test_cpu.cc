@@ -203,8 +203,9 @@ TEST(OooCoreTest, KernelIpcOrderingMatchesPaper)
         EXPECT_GT(desktop, console) << kernelName(id);
         EXPECT_GT(console, shader) << kernelName(id);
         EXPECT_GT(limit, desktop) << kernelName(id);
-        if (id == KernelId::IslandProcessing)
+        if (id == KernelId::IslandProcessing) {
             EXPECT_GT(limit, 4.0);
+        }
         if (id == KernelId::Cloth) {
             EXPECT_GT(limit, 1.0);
             EXPECT_LT(limit, 2.2);

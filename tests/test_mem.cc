@@ -234,6 +234,14 @@ struct DiffGeometry
     CacheConfig config;
 };
 
+/** Names the case in test listings (the default dumps its bytes,
+ *  the name pointer included). */
+void
+PrintTo(const DiffGeometry &g, std::ostream *os)
+{
+    *os << g.name;
+}
+
 class CacheDifferential
     : public ::testing::TestWithParam<std::tuple<DiffGeometry, int>>
 {
@@ -329,15 +337,15 @@ class ReferenceHierarchy
         PhaseMemStats &stats = phaseStats_[static_cast<int>(phase)];
         ++stats.refs;
 
-        const std::uint64_t line = ref.addr >> 6;
+        const std::uint64_t line = ref.line();
 
-        if (ref.write && config_.threads > 1) {
+        if (ref.write() && config_.threads > 1) {
             const std::uint32_t others =
                 directory_.get(line) & ~(1u << thread);
             if (others != 0) {
                 for (unsigned t = 0; t < config_.threads; ++t) {
                     if ((others >> t) & 1u) {
-                        l1s_[t]->invalidate(ref.addr);
+                        l1s_[t]->invalidate(ref.addr());
                         ++stats.invalidations;
                     }
                 }
@@ -346,7 +354,7 @@ class ReferenceHierarchy
         }
 
         Tick latency = config_.l1Latency;
-        if (l1s_[thread]->access(ref.addr, ref.write, false)) {
+        if (l1s_[thread]->access(ref.addr(), ref.write(), false)) {
             ++stats.l1Hits;
             stats.cycles += latency;
             return latency;
@@ -357,14 +365,14 @@ class ReferenceHierarchy
         ReferenceCache &l2 = *l2Partitions_[config_.plan.partitionOf[
             static_cast<int>(phase)]];
         latency += config_.l2Latency;
-        if (l2.access(ref.addr, ref.write, ref.kernel)) {
+        if (l2.access(ref.addr(), ref.write(), ref.kernel())) {
             ++stats.l2Hits;
             stats.cycles += latency;
             return latency;
         }
 
         ++stats.l2Misses;
-        if (ref.kernel)
+        if (ref.kernel())
             ++stats.kernelL2Misses;
         else
             ++stats.userL2Misses;
@@ -485,8 +493,9 @@ syntheticStep(Rng &rng, std::size_t refs_per_phase)
                 addr = 0xc000'0000 + rng.below(4096) * 64;
                 kernel = true;
             }
-            refs.push_back({addr + rng.below(64), 8, rng.chance(0.3),
-                            kernel});
+            const std::uint64_t offset = rng.below(64);
+            const bool write = rng.chance(0.3);
+            refs.push_back({addr + offset, write, kernel});
         }
     }
     return trace;
@@ -676,7 +685,7 @@ TEST(HierarchyTest, LatencyAccumulation)
     HierarchyConfig config;
     config.plan = L2Plan::shared(1);
     MemoryHierarchy mem(config);
-    const MemRef ref{0x10000, 64, false, false};
+    const MemRef ref{0x10000, false, false};
     // Cold: L1 miss + L2 miss -> 2 + 15 + 340.
     EXPECT_EQ(mem.access(0, Phase::Broadphase, ref), 357u);
     // Warm: L1 hit -> 2.
@@ -694,11 +703,11 @@ TEST(HierarchyTest, L2HitAfterL1Eviction)
     MemoryHierarchy mem(config);
     // Fill far more than L1 (32 KB) but well under L2 (4 MB).
     for (std::uint64_t a = 0; a < (256u << 10); a += 64)
-        mem.access(0, Phase::Narrowphase, {a, 64, false, false});
+        mem.access(0, Phase::Narrowphase, {a, false, false});
     // Second pass: everything L2-hits (L1 too small).
     mem.resetStats();
     for (std::uint64_t a = 0; a < (256u << 10); a += 64)
-        mem.access(0, Phase::Narrowphase, {a, 64, false, false});
+        mem.access(0, Phase::Narrowphase, {a, false, false});
     const PhaseMemStats &stats = mem.phaseStats(Phase::Narrowphase);
     EXPECT_EQ(stats.l2Misses, 0u);
     EXPECT_GT(stats.l2Hits, 3000u);
@@ -716,18 +725,18 @@ TEST(HierarchyTest, PartitionsIsolatePhases)
         // Warm broadphase working set (512 KB).
         for (std::uint64_t a = 0; a < (512u << 10); a += 64) {
             mem.access(0, Phase::Broadphase,
-                       {a, 64, false, false});
+                       {a, false, false});
         }
         // Pollute with a 4 MB narrowphase stream at other addrs.
         for (std::uint64_t a = 0; a < (4096u << 10); a += 64) {
             mem.access(0, Phase::Narrowphase,
-                       {0x4000'0000 + a, 64, false, false});
+                       {0x4000'0000 + a, false, false});
         }
         // Re-run broadphase and count L2 misses.
         mem.resetStats();
         for (std::uint64_t a = 0; a < (512u << 10); a += 64) {
             mem.access(0, Phase::Broadphase,
-                       {a, 64, false, false});
+                       {a, false, false});
         }
         return mem.phaseStats(Phase::Broadphase).l2Misses;
     };
@@ -742,11 +751,11 @@ TEST(HierarchyTest, WriteInvalidatesOtherL1s)
     config.threads = 2;
     config.plan = L2Plan::shared(1);
     MemoryHierarchy mem(config);
-    const MemRef read{0x8000, 64, false, false};
+    const MemRef read{0x8000, false, false};
     mem.access(0, Phase::Narrowphase, read);
     mem.access(1, Phase::Narrowphase, read);
     // Thread 1 writes: thread 0's copy is invalidated.
-    mem.access(1, Phase::Narrowphase, {0x8000, 64, true, false});
+    mem.access(1, Phase::Narrowphase, {0x8000, true, false});
     EXPECT_GT(mem.phaseStats(Phase::Narrowphase).invalidations, 0u);
     // Thread 0 must now miss in L1 (L2 still has it).
     const Tick lat = mem.access(0, Phase::Narrowphase, read);
@@ -852,6 +861,56 @@ TEST(HierarchyTest, InvalidThreadsRejected)
     config.threads = 0;
     EXPECT_EXIT(MemoryHierarchy mem(config),
                 ::testing::ExitedWithCode(1), "thread");
+}
+
+TEST(HierarchyTest, L1LineSizeOtherThanTraceLineRejected)
+{
+    // Trace references are 64-byte line records.
+    HierarchyConfig config;
+    config.l1 = CacheConfig{32 * 1024, 4, 128};
+    EXPECT_EXIT(MemoryHierarchy mem(config),
+                ::testing::ExitedWithCode(1), "line size 128");
+}
+
+TEST(MemRefTest, PacksLineWriteAndKernel)
+{
+    static_assert(sizeof(MemRef) == 8);
+    const MemRef ref = MemRef::fromLine(0x1234, true, false);
+    EXPECT_EQ(ref.line(), 0x1234u);
+    EXPECT_EQ(ref.addr(), 0x1234u * 64);
+    EXPECT_TRUE(ref.write());
+    EXPECT_FALSE(ref.kernel());
+    for (const bool write : {false, true}) {
+        for (const bool kernel : {false, true}) {
+            const MemRef r(0x1000'0040, write, kernel);
+            EXPECT_EQ(r.line(), 0x1000'0040u >> 6);
+            EXPECT_EQ(r.write(), write);
+            EXPECT_EQ(r.kernel(), kernel);
+        }
+    }
+}
+
+TEST(MemRefTest, ByteAddressesInOneLineGiveEqualRecords)
+{
+    EXPECT_EQ(MemRef(0x4000'0080, true, false),
+              MemRef(0x4000'00bf, true, false));
+    EXPECT_EQ(MemRef(0x4000'0080, false, false).addr(), 0x4000'0080u);
+    EXPECT_NE(MemRef(0x4000'0080, false, false),
+              MemRef(0x4000'00c0, false, false));
+    EXPECT_NE(MemRef(0x4000'0080, false, false),
+              MemRef(0x4000'0080, true, false));
+}
+
+TEST(MemRefTest, HighKernelRegionAddressRoundTrips)
+{
+    // The last line of the 32nd thread's kernel region.
+    const std::uint64_t addr =
+        AddressMap::kernel(31, 0x80'0000 - 1);
+    const MemRef ref(addr, true, true);
+    EXPECT_EQ(ref.addr(), addr & ~std::uint64_t{63});
+    EXPECT_EQ(ref.line(), addr >> 6);
+    EXPECT_TRUE(ref.write());
+    EXPECT_TRUE(ref.kernel());
 }
 
 } // namespace

@@ -236,8 +236,9 @@ TEST(MakespanProperty, Bounds)
         EXPECT_LE(frac, 1.0 + 1e-12);
         EXPECT_GE(frac + 1e-12, largest / total);
         EXPECT_GE(frac + 1e-12, 1.0 / threads);
-        if (threads == 1)
+        if (threads == 1) {
             EXPECT_NEAR(frac, 1.0, 1e-12);
+        }
     }
 }
 

@@ -197,8 +197,9 @@ TEST(Instrumentation, FgSubsetOfTotal)
         const Phase phase = static_cast<Phase>(p);
         EXPECT_LE(prof.fg(phase).total(), prof.ops(phase).total());
         // Serial phases have no FG component.
-        if (phaseIsSerial(phase))
+        if (phaseIsSerial(phase)) {
             EXPECT_EQ(prof.fg(phase).total(), 0.0);
+        }
         // cg + fg == total.
         EXPECT_NEAR(prof.cg(phase).total() + prof.fg(phase).total(),
                     prof.ops(phase).total(), 1.0);
@@ -298,8 +299,8 @@ TEST(MemTraceTest, AddressRegionsDoNotAlias)
     // Every object reference falls inside its region.
     for (const auto &refs : trace.phase) {
         for (const MemRef &ref : refs) {
-            EXPECT_GE(ref.addr, AddressMap::objectBase);
-            EXPECT_LT(ref.addr, AddressMap::kernelBase + 0x4000'0000);
+            EXPECT_GE(ref.addr(), AddressMap::objectBase);
+            EXPECT_LT(ref.addr(), AddressMap::kernelBase + 0x4000'0000);
         }
     }
 }
@@ -318,7 +319,7 @@ TEST(MemTraceTest, KernelRefsScaleWithThreads)
         std::size_t kernel = 0;
         for (const auto &refs : trace.phase) {
             for (const MemRef &ref : refs)
-                kernel += ref.kernel ? 1 : 0;
+                kernel += ref.kernel() ? 1 : 0;
         }
         return kernel;
     };
